@@ -9,7 +9,7 @@ values) is out of scope — with two deliberate exceptions that the
 worker-purity checkers depend on:
 
 * ``<pool>.submit(fn, ...)`` marks ``fn`` as a **worker entry point**
-  (the process-pool fan-out of ``repro.perf.workers``);
+  (the process-pool fan-out of :mod:`repro.resilience.supervisor`);
 * ``functools.partial(fn, ...)`` records an edge to ``fn`` *and* marks it
   as a worker entry, because the drivers ship branch jobs to the pool as
   partials (``mlnd_ordering``'s ``_mlnd_branch_job``).  Over-approximating

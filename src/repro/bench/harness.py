@@ -25,10 +25,6 @@ knobs the pytest benchmarks honour:
     registry switch of docs/PERFORMANCE.md, with per-phase fallback when
     a backend is unavailable.  The CI perf legs run the same table under
     two values and gate on ``repro bench-diff``.
-``REPRO_BENCH_IMPL``
-    Legacy matching-phase-only kernel switch: ``loop`` (the paper's
-    sequential scan, default) or ``vectorized`` (batched proposal
-    rounds).  Ignored when ``REPRO_BENCH_KERNELS`` is set.
 ``REPRO_BENCH_WORKERS``
     Process count for parallel recursive bisection (default 1 =
     sequential; bit-identical results either way).
@@ -73,9 +69,9 @@ def bench_options(base=None):
     """Experiment options with the env-selected kernel and worker count.
 
     Starts from ``base`` (default: :data:`~repro.core.options.DEFAULT_OPTIONS`)
-    and applies ``REPRO_BENCH_KERNELS`` / ``REPRO_BENCH_IMPL`` /
-    ``REPRO_BENCH_WORKERS`` when set, so every bench driver runs the
-    configuration the CI perf legs (or a local A/B run) asked for.
+    and applies ``REPRO_BENCH_KERNELS`` / ``REPRO_BENCH_WORKERS`` when
+    set, so every bench driver runs the configuration the CI perf legs
+    (or a local A/B run) asked for.
     """
     from repro.core.options import DEFAULT_OPTIONS
 
@@ -83,9 +79,6 @@ def bench_options(base=None):
     backend = os.environ.get("REPRO_BENCH_KERNELS", "")
     if backend:
         options = options.with_(kernels=backend)
-    impl = os.environ.get("REPRO_BENCH_IMPL", "")
-    if impl:
-        options = options.with_(matching_impl=impl)
     raw_workers = os.environ.get("REPRO_BENCH_WORKERS", "")
     if raw_workers:
         options = options.with_(workers=int(raw_workers))

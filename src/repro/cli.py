@@ -86,17 +86,6 @@ def _add_common_options(p):
         ),
     )
     p.add_argument(
-        "--matching-impl",
-        default="loop",
-        choices=["loop", "vectorized", "numba"],
-        help=(
-            "legacy matching-phase-only kernel switch, honoured when "
-            "--kernels is unset: 'loop' reproduces the paper's sequential "
-            "scan, 'vectorized' runs the batched proposal rounds "
-            "(see docs/PERFORMANCE.md)"
-        ),
-    )
-    p.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -331,7 +320,6 @@ def _options_from(args):
         max_init_retries=args.max_retries,
         trace=args.trace,
         kernels=args.kernels,
-        matching_impl=args.matching_impl,
         workers=args.workers,
         worker_timeout=args.worker_timeout,
         worker_retries=args.worker_retries,

@@ -108,10 +108,10 @@ def coarsen(
         kernels = resolve_kernels(options)
     matching_kernel = kernels.kernel("matching")
     contract_kernel = kernels.kernel("contract")
-    matching_impl = kernels.backend("matching")
+    matching_backend = kernels.backend("matching")
     if span:
         span.set(
-            matching_kernel=matching_impl,
+            matching_kernel=matching_backend,
             contract_kernel=kernels.backend("contract"),
         )
         fallbacks = kernels.as_dict().get("fallbacks")
@@ -144,7 +144,7 @@ def coarsen(
                 level=level,
                 nvtxs=current.nvtxs,
                 scheme=MatchingScheme(options.matching).value,
-                impl=matching_impl,
+                impl=matching_backend,
             )
             if span
             else NULL_SPAN

@@ -34,15 +34,14 @@ from repro.graph.components import extract_subgraph
 from repro.graph.partition import KWayPartition, edge_cut, part_weights
 from repro.obs.tracer import NULL as NULL_TRACER
 from repro.obs.tracer import resolve_tracer
-from repro.perf.workers import (
-    fan_depth_for,
-    resolve_worker_timeout,
-    resolve_workers,
-)
 from repro.resilience.deadline import DeadlineGuard
 from repro.resilience.faults import fault_injector, worker_faults_only
 from repro.resilience.report import ResilienceReport
-from repro.resilience.supervisor import BranchSupervisor
+from repro.resilience.supervisor import (
+    BranchSupervisor,
+    resolve_worker_timeout,
+    resolve_workers,
+)
 from repro.utils.errors import (
     DeadlineExceededError,
     PartitionError,
@@ -72,9 +71,10 @@ def partition(
         Multilevel configuration used for every bisection.
     bisector:
         Optional override: a callable ``(graph, options, rng, target0) →
-        MultilevelResult``-like object with a ``bisection`` attribute and a
-        ``timers`` :class:`PhaseTimer`.  The spectral baselines plug in
-        here so Figures 1–4 compare k-way against k-way.
+        MultilevelResult``-like object with a ``bisection`` attribute, a
+        ``timers`` :class:`PhaseTimer` and a ``resilience`` report (merged
+        into the run's).  The spectral baselines plug in here so Figures
+        1–4 compare k-way against k-way.
 
     Returns
     -------
@@ -128,7 +128,6 @@ def partition(
             if parallel:
                 with BranchSupervisor(
                     workers,
-                    fan_depth=fan_depth_for(workers),
                     timeout=resolve_worker_timeout(options),
                     guard=guard,
                     max_retries=options.worker_retries,
@@ -270,6 +269,7 @@ def _recurse(graph, k, first_part, where, vmap, options, rng, timers, bisector,
                                 target0=target0, faults=faults, report=report,
                                 guard=guard, tracer=trc)
         timers.merge(result.timers)
+        report.merge(result.resilience)
         side = np.asarray(result.bisection.where).copy()
     except DeadlineExceededError as exc:
         report.record(

@@ -143,36 +143,19 @@ _SCHEMES = {
 }
 
 
-def loop_matching(graph, scheme, rng=None, cewgt=None) -> np.ndarray:
-    """The reference per-vertex matching kernel for ``scheme``.
+def compute_matching(graph, scheme, rng=None, cewgt=None) -> np.ndarray:
+    """Dispatch to the matching scheme named by ``scheme``.
 
     This is the ``loop`` backend's matching kernel in the
     :mod:`repro.kernels` registry — bit-exact with the paper's published
-    runs and the terminal fallback of every backend chain.
+    runs and the terminal fallback of every backend chain.  The other
+    backends' kernels are reached through
+    :func:`repro.kernels.resolve_kernels`.
     """
     scheme = MatchingScheme(scheme)
     if scheme is MatchingScheme.HCM:
         return hcm_matching(graph, rng, cewgt)
     return _SCHEMES[scheme](graph, rng)
-
-
-def compute_matching(graph, scheme, rng=None, cewgt=None, impl="loop") -> np.ndarray:
-    """Dispatch to the matching scheme named by ``scheme``.
-
-    ``impl`` names a kernel backend in the :mod:`repro.kernels` registry:
-    ``"loop"`` is the per-vertex visitation loop above (bit-exact with the
-    paper's published runs); ``"vectorized"`` is the batched
-    proposal-round kernel; ``"numba"`` the jitted loop (falling back to
-    ``vectorized`` → ``loop`` when numba is unavailable).  All backends
-    satisfy the same validity/maximality oracles; only ``loop`` is
-    bit-exact with the published runs.
-    """
-    scheme = MatchingScheme(scheme)
-    if impl == "loop":
-        return loop_matching(graph, scheme, rng, cewgt)
-    from repro.kernels import matching_kernel_for
-
-    return matching_kernel_for(impl)(graph, scheme, rng, cewgt)
 
 
 def matching_stats(graph, match) -> dict:

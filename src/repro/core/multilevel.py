@@ -14,6 +14,11 @@ projecting further — "after projecting a partition, a partition refinement
 algorithm is used" — and the coarsest-level partition itself is also
 refined once, which costs nothing (the graph is tiny) and matches the
 released implementation of the paper's system.
+
+Which levels are refined is the one knob of the V-cycle: the Chaco-ML
+baseline (:mod:`repro.spectral.chaco_ml`) runs the same loop with RM +
+SBP + KLR and refines only every other level, so both schemes are timed,
+traced, sanitized and deadline-checked by the same code.
 """
 
 from __future__ import annotations
@@ -148,6 +153,11 @@ def _checkpoint(guard, faults, report, hierarchy, bisection, level, phase):
     guard.check(phase=phase, level=level, best=best, report=report)
 
 
+def _every_level(level, coarsest):
+    """ML's refinement schedule: every level, the coarsest included."""
+    return True
+
+
 def bisect(
     graph,
     options=DEFAULT_OPTIONS,
@@ -207,6 +217,24 @@ def bisect(
         finest-graph bisection found before the budget ran out (or ``None``
         if none existed yet) and ``exc.report`` the audit trail.
     """
+    return _vcycle(
+        graph, options, rng, _every_level, target0=target0,
+        hierarchy=hierarchy, faults=faults, report=report, guard=guard,
+        tracer=tracer,
+    )
+
+
+def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
+            faults=None, report=None, guard=None, tracer=None):
+    """The bisection V-cycle behind :func:`bisect` and Chaco-ML.
+
+    Coarsens with ``options.matching``, bisects the coarsest graph with
+    ``options.initial`` (and its fallback chain), then walks one loop from
+    the coarsest level down to level 0: each level below the coarsest is
+    first projected onto, and every level where ``refine_at(level,
+    coarsest_level)`` holds is refined with ``options.refinement``.  The
+    keyword arguments are those of :func:`bisect`.
+    """
     if graph.nvtxs < 2:
         raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
     rng = as_generator(rng if rng is not None else options.seed)
@@ -246,8 +274,9 @@ def bisect(
                     graph, options, rng, faults=faults, report=report, span=sp,
                     kernels=kernels,
                 )
+        coarsest_level = hierarchy.nlevels - 1
         coarsest = hierarchy.coarsest
-        _checkpoint(guard, faults, report, hierarchy, None, hierarchy.nlevels - 1, "coarsen")
+        _checkpoint(guard, faults, report, hierarchy, None, coarsest_level, "coarsen")
 
         # --- Phase 2: initial partition ------------------------------
         san = sanitizer(options)
@@ -269,61 +298,52 @@ def bisect(
                 bisection.pwgts,
                 bisection.cut,
                 phase="initial",
-                level=hierarchy.nlevels - 1,
+                level=coarsest_level,
             )
 
-        # --- Phase 3: uncoarsening -----------------------------------
-        coarsest_level = hierarchy.nlevels - 1
-        with timers.phase("RTime"), trc.span(
-            "refine", phase="RTime", level=coarsest_level
-        ) as sp:
-            refine_bisection(
-                coarsest,
-                bisection,
-                _effective_policy(options.refinement, guard, faults, report, coarsest_level),
-                options,
-                maxpwgt=maxpwgt,
-                original_nvtxs=graph.nvtxs,
-                stats=stats,
-                span=sp,
-                kernels=kernels,
+        # --- Phase 3: uncoarsening, coarsest level first -------------
+        for level in range(coarsest_level, -1, -1):
+            level_graph = hierarchy.graphs[level]
+            if level < coarsest_level:
+                with timers.phase("PTime"), trc.span(
+                    "project", phase="PTime", level=level
+                ):
+                    where = project_where(bisection.where, hierarchy.cmaps[level])
+                    bisection = Bisection(
+                        where=where,
+                        cut=bisection.cut,  # invariant: cut is preserved by projection
+                        pwgts=part_weights(level_graph, where, 2),
+                    )
+                if san:
+                    san.check_bisection(
+                        level_graph,
+                        bisection.where,
+                        bisection.pwgts,
+                        bisection.cut,
+                        phase="project",
+                        level=level,
+                    )
+            if refine_at(level, coarsest_level):
+                with timers.phase("RTime"), trc.span(
+                    "refine", phase="RTime", level=level
+                ) as sp:
+                    refine_bisection(
+                        level_graph,
+                        bisection,
+                        _effective_policy(
+                            options.refinement, guard, faults, report, level
+                        ),
+                        options,
+                        maxpwgt=maxpwgt,
+                        original_nvtxs=graph.nvtxs,
+                        stats=stats,
+                        span=sp,
+                        kernels=kernels,
+                    )
+            _checkpoint(
+                guard, faults, report, hierarchy, bisection, level,
+                "initial" if level == coarsest_level else "refine",
             )
-        _checkpoint(guard, faults, report, hierarchy, bisection, coarsest_level, "initial")
-        for level in range(hierarchy.nlevels - 2, -1, -1):
-            fine = hierarchy.graphs[level]
-            with timers.phase("PTime"), trc.span(
-                "project", phase="PTime", level=level
-            ):
-                where = project_where(bisection.where, hierarchy.cmaps[level])
-                bisection = Bisection(
-                    where=where,
-                    cut=bisection.cut,  # invariant: cut is preserved by projection
-                    pwgts=part_weights(fine, where, 2),
-                )
-            if san:
-                san.check_bisection(
-                    fine,
-                    bisection.where,
-                    bisection.pwgts,
-                    bisection.cut,
-                    phase="project",
-                    level=level,
-                )
-            with timers.phase("RTime"), trc.span(
-                "refine", phase="RTime", level=level
-            ) as sp:
-                refine_bisection(
-                    fine,
-                    bisection,
-                    _effective_policy(options.refinement, guard, faults, report, level),
-                    options,
-                    maxpwgt=maxpwgt,
-                    original_nvtxs=graph.nvtxs,
-                    stats=stats,
-                    span=sp,
-                    kernels=kernels,
-                )
-            _checkpoint(guard, faults, report, hierarchy, bisection, level, "refine")
 
         if trc:
             trc.counter("bisect.calls", 1)

@@ -98,18 +98,9 @@ class MultilevelOptions:
         ``@njit`` kernels; falls back per phase along
         ``numba → vectorized → loop`` when numba is absent or a phase
         has no jitted implementation).  ``None`` (the default) defers to
-        the ``REPRO_KERNELS`` environment variable, then to
-        ``matching_impl``, then to ``"loop"`` everywhere.  The resolved
-        per-phase selection lands in ``MultilevelResult.kernels``.
-    matching_impl:
-        Legacy matching-phase-only switch, kept for compatibility (and
-        honoured only when ``kernels`` is unset): ``"loop"`` (default)
-        is the per-vertex visitation loop that reproduces the paper's
-        published runs bit-for-bit; ``"vectorized"`` is the batched
-        proposal-round kernel — same schemes, same validity/maximality
-        guarantees, different (still deterministic) tie-breaking, and
-        several times faster on large graphs; ``"numba"`` selects the
-        jitted matching kernel when available.
+        the ``REPRO_KERNELS`` environment variable, then to ``"loop"``
+        everywhere.  The resolved per-phase selection lands in
+        ``MultilevelResult.kernels``.
     workers:
         Process count for fanning the independent subgraph branches of
         recursive bisection (:func:`repro.core.kway.partition`) and MLND
@@ -180,7 +171,6 @@ class MultilevelOptions:
     eager_gains: bool = False
     gain_table: str = "heap"
     kernels: str | None = None
-    matching_impl: str = "loop"
     workers: int | None = None
     worker_timeout: float | None = None
     worker_retries: int = 2
@@ -215,10 +205,6 @@ class MultilevelOptions:
         ):
             raise ConfigurationError(
                 "kernels must be 'loop', 'vectorized' or 'numba' when set"
-            )
-        if self.matching_impl not in ("loop", "vectorized", "numba"):
-            raise ConfigurationError(
-                "matching_impl must be 'loop', 'vectorized' or 'numba'"
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be >= 1 when set")
@@ -263,7 +249,6 @@ CACHE_KEY_FIELDS = (
     "bklgr_boundary_fraction",
     "eager_gains",
     "gain_table",
-    "matching_impl",
     "seed",
     "deadline",
     "max_init_retries",

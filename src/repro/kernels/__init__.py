@@ -4,9 +4,9 @@ The multilevel pipeline spends essentially all of its time in three
 kernels — matching proposal rounds (CTime), FM gain maintenance (RTime)
 and graph contraction (CTime) — and the engineering follow-ups to the
 source paper (arXiv:1012.0006, arXiv:0910.2004) show that these constant
-factors are where multilevel partitioners win or lose.  This package
-generalises PR 5's one-off ``matching_impl`` switch into a registry of
-named **backends**, each providing some subset of the phase kernels:
+factors are where multilevel partitioners win or lose.  This package is
+a registry of named **backends**, each providing some subset of the phase
+kernels:
 
 ``loop``
     The bit-exact reference implementations in :mod:`repro.core` /
@@ -14,10 +14,10 @@ named **backends**, each providing some subset of the phase kernels:
     only backend whose output reproduces the paper's published runs
     bit-for-bit.
 ``vectorized``
-    Whole-array NumPy kernels: the batched proposal-round matching
-    (formerly ``repro.perf.matching_vec``) and a fused-sort-key
-    contraction.  Same validity oracles; matching makes different
-    (still deterministic) tie-breaks, contraction is bit-identical.
+    Whole-array NumPy kernels: the batched proposal-round matching and a
+    fused-sort-key contraction.  Same validity oracles; matching makes
+    different (still deterministic) tie-breaks, contraction is
+    bit-identical.
 ``numba``
     Optional ``@njit`` kernels for the FM inner loop (bucket gain
     arrays), matching, contraction and the k-way boundary sweep.
@@ -26,12 +26,12 @@ named **backends**, each providing some subset of the phase kernels:
 
 Selection is resolved **once per driver entry** by
 :func:`resolve_kernels`, with precedence ``options.kernels`` >
-``REPRO_KERNELS`` > the legacy ``options.matching_impl`` (matching phase
-only) > ``loop``.  A backend that is unavailable — or that has no kernel
-for a phase — falls back along its declared chain
-(``numba`` → ``vectorized`` → ``loop``) *per phase*, and every fallback
-decision is recorded on the returned :class:`KernelSelection` so it can
-surface in ``repro.obs`` spans and in ``MultilevelResult.kernels``.
+``REPRO_KERNELS`` > ``loop``; it is the only way to pick a kernel.  A
+backend that is unavailable — or that has no kernel for a phase — falls
+back along its declared chain (``numba`` → ``vectorized`` → ``loop``)
+*per phase*, and every fallback decision is recorded on the returned
+:class:`KernelSelection` so it can surface in ``repro.obs`` spans and in
+``MultilevelResult.kernels``.
 
 Backend modules themselves (``repro.kernels.vec_backend``,
 ``repro.kernels.numba_backend``) are implementation detail: the rest of
@@ -57,7 +57,6 @@ __all__ = [
     "KernelChoice",
     "KernelSelection",
     "resolve_kernels",
-    "matching_kernel_for",
     "kway_kernel",
     "numba_available",
     "register_backend",
@@ -229,44 +228,22 @@ def resolve_kernels(options=None, env=None) -> KernelSelection:
     """Resolve the per-phase backend selection for one driver entry.
 
     Precedence: ``options.kernels`` > the ``REPRO_KERNELS`` environment
-    variable > the legacy ``options.matching_impl`` switch (which names
-    a backend for the *matching phase only*; ``fm`` and ``contract``
-    stay on ``loop``) > ``loop`` everywhere.
+    variable > ``loop`` everywhere.
     """
     environ = env if env is not None else os.environ
-    requested = None
     if options is not None and getattr(options, "kernels", None):
         requested = options.kernels
     else:
-        requested = environ.get(ENV_VAR) or None
-    if requested is not None:
-        if requested not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown kernel backend {requested!r}; expected one of "
-                f"{', '.join(sorted(_BACKENDS))}"
-            )
-        per_phase = {phase: requested for phase in PHASES}
-        headline = requested
-    else:
-        impl = getattr(options, "matching_impl", "loop") if options else "loop"
-        per_phase = {"matching": impl, "fm": "loop", "contract": "loop"}
-        headline = impl
+        requested = environ.get(ENV_VAR) or "loop"
+    if requested not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown kernel backend {requested!r}; expected one of "
+            f"{', '.join(sorted(_BACKENDS))}"
+        )
     return KernelSelection(
-        requested=headline,
-        choices=tuple(_select(phase, per_phase[phase]) for phase in PHASES),
+        requested=requested,
+        choices=tuple(_select(phase, requested) for phase in PHASES),
     )
-
-
-def matching_kernel_for(impl: str):
-    """Matching kernel for backend ``impl``, with transparent fallback.
-
-    The back-compat entry used by
-    :func:`repro.core.matching.compute_matching`: validates the name,
-    probes availability and walks the fallback chain exactly like a full
-    :func:`resolve_kernels` would for the matching phase.
-    """
-    choice = _select("matching", impl)
-    return _load(choice.selected, "matching")
 
 
 def kway_kernel(selection: KernelSelection):
@@ -288,9 +265,9 @@ def kway_kernel(selection: KernelSelection):
 # once its probe has passed (RP017).
 
 def _load_loop_matching():
-    from repro.core.matching import loop_matching
+    from repro.core.matching import compute_matching
 
-    return loop_matching
+    return compute_matching
 
 
 def _load_loop_fm():

@@ -118,8 +118,9 @@ def vectorized_matching(graph, scheme, rng=None, cewgt=None) -> np.ndarray:
     """Maximal matching of ``graph`` under ``scheme``, in involution form.
 
     Drop-in counterpart of :func:`repro.core.matching.compute_matching`
-    with ``impl="vectorized"``; see the module docstring for the round
-    algorithm and its termination/maximality argument.
+    (the ``vectorized`` backend's matching kernel); see the module
+    docstring for the round algorithm and its termination/maximality
+    argument.
     """
     scheme = MatchingScheme(scheme)
     rng = as_generator(rng)

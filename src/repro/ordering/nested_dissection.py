@@ -33,15 +33,14 @@ from repro.obs.tracer import NULL_SPAN, resolve_tracer
 from repro.ordering.base import Ordering
 from repro.ordering.mmd import mmd_ordering
 from repro.ordering.vertex_cover import vertex_separator_from_bisection
-from repro.perf.workers import (
-    fan_depth_for,
-    resolve_worker_timeout,
-    resolve_workers,
-)
 from repro.resilience.deadline import DeadlineGuard
 from repro.resilience.faults import fault_injector, worker_faults_only
 from repro.resilience.report import ResilienceReport
-from repro.resilience.supervisor import BranchSupervisor
+from repro.resilience.supervisor import (
+    BranchSupervisor,
+    resolve_worker_timeout,
+    resolve_workers,
+)
 from repro.utils.errors import DeadlineExceededError, ReproError, SanitizerError
 from repro.utils.rng import as_generator, spawn_child
 
@@ -212,7 +211,6 @@ def nested_dissection_ordering(
             if branch_job is not None and workers > 1:
                 with BranchSupervisor(
                     workers,
-                    fan_depth=fan_depth_for(workers),
                     timeout=resolve_worker_timeout(options),
                     guard=guard,
                     max_retries=(

@@ -15,10 +15,10 @@ that engineering for :mod:`repro`:
 * **the audit trail** (:mod:`repro.resilience.report`) — every fallback,
   retry and degradation that fired, attached to the result object;
 * **worker supervision** (:mod:`repro.resilience.supervisor`) — the
-  process-pool branch runtime of ``workers=N`` runs: per-branch time
-  budgets sliced from the deadline guard, crash/hang recovery with a
-  deterministic retry ladder, and degradation to bit-identical in-process
-  sequential execution.
+  worker settings and process-pool branch runtime of ``workers=N`` runs:
+  per-branch time budgets sliced from the deadline guard, crash/hang
+  recovery with a deterministic retry ladder, and degradation to
+  bit-identical in-process sequential execution.
 
 See ``docs/RESILIENCE.md`` for the fault-spec grammar, the fallback chain
 table, deadline semantics, and the worker-supervision contract.

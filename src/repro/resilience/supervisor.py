@@ -1,11 +1,15 @@
-"""Supervised branch runtime: timeouts, crash recovery, deadline slicing.
+"""Process-parallel branch execution: worker settings and the supervised pool.
 
-PR 5's process-parallel fan-out shipped recursion branches to a bare
-``ProcessPoolExecutor``: a crashed worker surfaced as an unhandled
-``BrokenProcessPool`` in the driver, a hung worker blocked ``partition`` /
-``mlnd_ordering`` forever, and ``options.deadline`` was enforced only in
-the parent process — branches in workers ran unbounded.
-:class:`BranchSupervisor` replaces the raw pool + dispatch pair with a
+The recursion trees of :func:`repro.core.kway.partition` and nested
+dissection split a graph into *independent* subgraphs, and the drivers
+pre-spawn one child RNG per branch (:func:`repro.utils.rng.spawn_child`),
+so branches may run in other processes without changing a single bit of
+the result.  The worker settings live here: :func:`resolve_workers`
+(``options.workers``, else ``REPRO_WORKERS``, else 1),
+:func:`resolve_worker_timeout` (``options.worker_timeout``, else
+``REPRO_WORKER_TIMEOUT``, else none), :func:`fan_depth_for` (how many top
+recursion levels to fan out) and :func:`branch_executor` (the process
+pool).  :class:`BranchSupervisor` runs the branch jobs on that pool as a
 fault-tolerant execution layer:
 
 * **budget slicing** — every wait on a branch future is bounded by the
@@ -43,15 +47,31 @@ See ``docs/RESILIENCE.md`` for the full supervision contract.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.perf.workers import branch_executor, fan_depth_for
 from repro.resilience.deadline import DeadlineGuard
+from repro.utils.errors import ConfigurationError
 
-__all__ = ["BranchSupervisor"]
+__all__ = [
+    "WORKERS_ENV",
+    "WORKER_TIMEOUT_ENV",
+    "resolve_workers",
+    "resolve_worker_timeout",
+    "fan_depth_for",
+    "branch_executor",
+    "BranchSupervisor",
+]
+
+#: Environment variable consulted when ``options.workers`` is unset.
+WORKERS_ENV = "REPRO_WORKERS"
+
+#: Environment variable consulted when ``options.worker_timeout`` is unset.
+WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
 
 #: How long an injected ``worker_hang`` sleeps — long enough that only the
 #: supervisor's timeout (never the test suite's patience) ends the branch.
@@ -78,6 +98,64 @@ _FAULT_KINDS = (
     ("worker_hang", "hang"),
     ("worker_slow", "slow"),
 )
+
+
+def resolve_workers(options=None) -> int:
+    """Effective worker count: option field, else ``REPRO_WORKERS``, else 1."""
+    if options is not None and getattr(options, "workers", None) is not None:
+        return int(options.workers)
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{WORKERS_ENV} must be an integer, got {raw!r}"
+        ) from None
+    if workers < 1:
+        raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+    return workers
+
+
+def resolve_worker_timeout(options=None):
+    """Per-branch timeout: option field, else ``REPRO_WORKER_TIMEOUT``, else None."""
+    if options is not None and getattr(options, "worker_timeout", None) is not None:
+        return float(options.worker_timeout)
+    raw = os.environ.get(WORKER_TIMEOUT_ENV, "").strip()
+    if not raw:
+        return None
+    try:
+        timeout = float(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{WORKER_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
+        ) from None
+    if timeout <= 0:
+        raise ConfigurationError(
+            f"{WORKER_TIMEOUT_ENV} must be positive, got {timeout}"
+        )
+    return timeout
+
+
+def fan_depth_for(workers: int) -> int:
+    """Recursion depth to fan out so ≥ ``workers`` branch jobs exist.
+
+    Depth ``d`` of a binary recursion tree exposes ``2**d`` independent
+    branches; the smallest ``d`` with ``2**d >= workers`` keeps every
+    worker busy with at most 2× oversubscription.
+    """
+    depth = 0
+    while (1 << depth) < workers:
+        depth += 1
+    return depth
+
+
+def branch_executor(workers: int) -> ProcessPoolExecutor:
+    """A process pool using ``fork`` when available (cheap), else spawn."""
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def _faulted_call(kind, fn, *args):
@@ -117,11 +195,11 @@ class _BranchJob:
 
 
 class BranchSupervisor:
-    """Supervised replacement for ``branch_executor`` + ``BranchDispatch``.
+    """Supervised process pool for independent recursion branches.
 
-    Context manager.  Drivers ``submit`` branch jobs (same surface as
-    :class:`~repro.perf.workers.BranchDispatch`, including ``fan_depth``)
-    and ``drain`` ``(meta, result)`` pairs in submission order; crashes,
+    Context manager.  Drivers ``submit`` branch jobs from recursion depth
+    ``fan_depth`` (:func:`fan_depth_for` of ``workers``) on and ``drain``
+    ``(meta, result)`` pairs in submission order; crashes,
     hangs and timeouts are absorbed by the retry ladder described in the
     module docstring instead of propagating.  Exceptions *raised by the
     branch itself* (a ``ReproError`` from the pipeline) still propagate
@@ -132,9 +210,6 @@ class BranchSupervisor:
     ----------
     workers:
         Pool size (> 1; the drivers keep ``workers=1`` sequential).
-    fan_depth:
-        Recursion depth at which drivers start submitting (default
-        ``fan_depth_for(workers)``).
     timeout:
         Per-branch wait budget in seconds (``options.worker_timeout`` /
         ``REPRO_WORKER_TIMEOUT``); ``None`` means waits are bounded only
@@ -158,12 +233,10 @@ class BranchSupervisor:
         consulted, at submission time, in the parent.
     """
 
-    def __init__(self, workers, *, fan_depth=None, timeout=None, guard=None,
+    def __init__(self, workers, *, timeout=None, guard=None,
                  max_retries=2, report=None, span=None, faults=None):
         self.workers = int(workers)
-        self.fan_depth = (
-            fan_depth_for(self.workers) if fan_depth is None else fan_depth
-        )
+        self.fan_depth = fan_depth_for(self.workers)
         self.timeout = timeout
         self.guard = guard
         self.max_retries = int(max_retries)

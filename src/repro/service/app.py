@@ -489,13 +489,23 @@ def _http_head(status: int, *, length: int | None, keep_alive: bool,
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
 
 
+async def _read_line(reader) -> bytes:
+    """One request or header line; an over-long line is a bad request."""
+    try:
+        return await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT)
+    except ValueError:
+        # StreamReader.readline raises ValueError past its buffer limit.
+        raise ServiceRequestError("request or header line too long") from None
+
+
 async def _read_request(reader, max_body: int):
     """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
     Returns ``(method, path, headers, body, too_large)``; ``too_large``
     signals the caller to answer 413 and close without reading the body.
+    Malformed framing raises :class:`ServiceRequestError` (answered 400).
     """
-    line = await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT)
+    line = await _read_line(reader)
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -504,7 +514,7 @@ async def _read_request(reader, max_body: int):
     method, target, _version = parts
     headers = {}
     while True:
-        hline = await asyncio.wait_for(reader.readline(), _IDLE_TIMEOUT)
+        hline = await _read_line(reader)
         if hline in (b"\r\n", b"\n", b""):
             break
         name, sep, value = hline.decode("latin-1").partition(":")
@@ -514,6 +524,8 @@ async def _read_request(reader, max_body: int):
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
         raise ServiceRequestError("malformed Content-Length") from None
+    if length < 0:
+        raise ServiceRequestError("negative Content-Length")
     if length > max_body:
         return method, target, headers, b"", True
     body = (

@@ -3,85 +3,42 @@
 Per §4.2 of the paper, Chaco's multilevel algorithm "uses random matching
 during coarsening, spectral bisection for partitioning the coarse graph,
 and Kernighan-Lin refinement every other coarsening level during the
-uncoarsening phase".  This module implements exactly that combination on
-top of the shared phase kernels, so the comparison in Figure 3 isolates the
-*policy* differences (HEM vs RM, GGGP vs spectral, BKLGR vs periodic KLR)
-rather than implementation differences.
+uncoarsening phase".  This module expresses exactly that combination as a
+configuration of the shared V-cycle in :mod:`repro.core.multilevel`, so the
+comparison in Figure 3 isolates the *policy* differences (HEM vs RM, GGGP
+vs spectral, BKLGR vs periodic KLR) rather than implementation
+differences.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.coarsen import coarsen
-from repro.core.initial import sbp_bisection
 from repro.core.kway import partition as _kway_partition
-from repro.core.multilevel import MultilevelResult, project_where
-from repro.core.options import DEFAULT_OPTIONS, MatchingScheme, RefinePolicy
-from repro.core.refine import PassStats, refine_bisection
-from repro.graph.partition import Bisection, part_weights
-from repro.utils.errors import PartitionError
-from repro.utils.rng import as_generator
-from repro.utils.timing import PhaseTimer
+from repro.core.multilevel import MultilevelResult, _vcycle
+from repro.core.options import (
+    DEFAULT_OPTIONS,
+    InitialScheme,
+    MatchingScheme,
+    RefinePolicy,
+)
+
+
+def _every_other_level(level, coarsest):
+    """Chaco's refinement schedule: every second level below the coarsest,
+    and always the finest so the final answer is locally optimal — but
+    never the coarsest itself, not even when it is also the finest."""
+    return level < coarsest and (level == 0 or (coarsest - level) % 2 == 0)
 
 
 def chaco_ml_bisect(
     graph, options=DEFAULT_OPTIONS, rng=None, target0=None
 ) -> MultilevelResult:
     """Multilevel bisection with RM + SBP + KLR-every-other-level."""
-    if graph.nvtxs < 2:
-        raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
-    rng = as_generator(rng if rng is not None else options.seed)
-    timers = PhaseTimer()
-    stats = PassStats()
-    total = graph.total_vwgt()
-    if target0 is None:
-        target0 = total // 2
-    target1 = total - target0
-    maxpwgt = (
-        int(np.ceil(options.ubfactor * target0)),
-        int(np.ceil(options.ubfactor * target1)),
+    chaco_options = options.with_(
+        matching=MatchingScheme.RM,
+        initial=InitialScheme.SBP,
+        refinement=RefinePolicy.KLR,
     )
-
-    chaco_options = options.with_(matching=MatchingScheme.RM)
-    with timers.phase("CTime"):
-        hierarchy = coarsen(graph, chaco_options, rng)
-    with timers.phase("ITime"):
-        bisection = sbp_bisection(hierarchy.coarsest, target0, rng)
-    initial_cut = bisection.cut
-
-    # Refinement every other level, and always at the finest level so the
-    # final answer is locally optimal (Chaco's behaviour).
-    levels_up = 0
-    for level in range(hierarchy.nlevels - 2, -1, -1):
-        fine = hierarchy.graphs[level]
-        with timers.phase("PTime"):
-            where = project_where(bisection.where, hierarchy.cmaps[level])
-            bisection = Bisection(
-                where=where,
-                cut=bisection.cut,
-                pwgts=part_weights(fine, where, 2),
-            )
-        levels_up += 1
-        if levels_up % 2 == 0 or level == 0:
-            with timers.phase("RTime"):
-                refine_bisection(
-                    fine,
-                    bisection,
-                    RefinePolicy.KLR,
-                    options,
-                    maxpwgt=maxpwgt,
-                    original_nvtxs=graph.nvtxs,
-                    stats=stats,
-                )
-    return MultilevelResult(
-        bisection=bisection,
-        timers=timers,
-        nlevels=hierarchy.nlevels,
-        coarsest_nvtxs=hierarchy.coarsest.nvtxs,
-        initial_cut=initial_cut,
-        stats=stats,
-    )
+    return _vcycle(graph, chaco_options, rng, _every_other_level, target0=target0)
 
 
 def chaco_ml_partition(graph, nparts, options=DEFAULT_OPTIONS, rng=None):

@@ -31,7 +31,6 @@ from repro.core.matching import (
     compute_matching,
     is_maximal_matching,
     is_valid_matching,
-    loop_matching,
 )
 from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
@@ -42,7 +41,6 @@ from repro.kernels import (
     PHASES,
     KernelSelection,
     kway_kernel,
-    matching_kernel_for,
     numba_available,
     register_backend,
     resolve_kernels,
@@ -103,13 +101,6 @@ class TestResolution:
         assert sel.requested == "loop"
         assert sel.backend("matching") == "loop"
 
-    def test_legacy_matching_impl_is_matching_only(self):
-        options = DEFAULT_OPTIONS.with_(matching_impl="vectorized")
-        sel = resolve_kernels(options, env={})
-        assert sel.backend("matching") == "vectorized"
-        assert sel.backend("fm") == "loop"
-        assert sel.backend("contract") == "loop"
-
     def test_vectorized_falls_back_to_loop_for_fm(self):
         sel = resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
         assert sel.backend("fm") == "loop"
@@ -143,8 +134,6 @@ class TestResolution:
             resolve_kernels(None, env={"REPRO_KERNELS": "simd"})
         with pytest.raises(ConfigurationError):
             DEFAULT_OPTIONS.with_(kernels="simd").validate()
-        with pytest.raises(ConfigurationError):
-            matching_kernel_for("simd")
 
     def test_kway_kernel_only_for_numba(self):
         assert kway_kernel(resolve_kernels(None, env={})) is None
@@ -167,7 +156,7 @@ class TestResolution:
 
         def fake_matching(graph, scheme, rng=None, cewgt=None):
             calls.append(graph.nvtxs)
-            return loop_matching(graph, scheme, rng, cewgt)
+            return compute_matching(graph, scheme, rng, cewgt)
 
         register_backend(
             "test-fake", {"matching": lambda: fake_matching},
@@ -182,7 +171,7 @@ class TestResolution:
 
     def test_probe_gates_registration(self, clean_registry):
         register_backend(
-            "test-gated", {"matching": lambda: loop_matching},
+            "test-gated", {"matching": lambda: compute_matching},
             probe=lambda: False, fallback="loop",
         )
         sel = resolve_kernels(None, env={"REPRO_KERNELS": "test-gated"})
@@ -315,7 +304,7 @@ class TestContractBackends:
         rng = np.random.default_rng(0)
         for g in (grid2d(17, 13), fe_tet3d(400, 3), load("4ELT", scale=0.1)):
             for seed in (0, 1):
-                match = loop_matching(
+                match = compute_matching(
                     g, MatchingScheme.HEM, np.random.default_rng(seed)
                 )
                 cmap = np.full(g.nvtxs, -1, dtype=np.int64)
@@ -352,7 +341,7 @@ class TestMatchingBackends:
     def test_deterministic_schemes_bit_identical(self, scheme):
         for g in self.GRAPHS:
             for seed in (0, 3):
-                ref = loop_matching(g, scheme, np.random.default_rng(seed))
+                ref = compute_matching(g, scheme, np.random.default_rng(seed))
                 nb = numba_backend.matching_numba(
                     g, scheme, np.random.default_rng(seed)
                 )
@@ -377,9 +366,10 @@ class TestMatchingBackends:
 
     def test_compute_matching_accepts_numba_impl(self):
         g = grid2d(10, 10)
-        m = compute_matching(
-            g, MatchingScheme.HEM, np.random.default_rng(0), impl="numba"
-        )
+        kernel = resolve_kernels(
+            DEFAULT_OPTIONS.with_(kernels="numba"), env={}
+        ).kernel("matching")
+        m = kernel(g, MatchingScheme.HEM, np.random.default_rng(0))
         assert is_valid_matching(g, m)
 
 

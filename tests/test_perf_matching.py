@@ -1,7 +1,7 @@
-"""Tests for the vectorized matching kernel (repro.perf.matching_vec).
+"""Tests for the vectorized matching kernel (the ``vectorized`` backend).
 
 The vectorized kernel is an alternative implementation of the §3.1
-matchings, selected with ``MultilevelOptions.matching_impl``; it must
+matchings, selected with ``MultilevelOptions.kernels``; it must
 produce valid maximal matchings for every scheme, plug into the full
 pipeline with cut quality in the same band as the loop kernel, and (the
 point of its existence) beat the loop kernel by a wide margin on large
@@ -14,16 +14,19 @@ import numpy as np
 import pytest
 
 from repro.core import partition
-from repro.core.matching import (
-    compute_matching,
-    is_maximal_matching,
-    is_valid_matching,
-)
+from repro.core.matching import is_maximal_matching, is_valid_matching
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
+from repro.kernels import resolve_kernels, segment_max, vectorized_matching
 from repro.matrices import grid2d, suite
-from repro.perf.matching_vec import segment_max, vectorized_matching
 from repro.utils.errors import ConfigurationError
 from tests.conftest import random_graph
+
+
+def matching_kernel(backend):
+    """The matching kernel the registry selects for ``backend``."""
+    options = DEFAULT_OPTIONS.with_(kernels=backend)
+    return resolve_kernels(options, env={}).kernel("matching")
+
 
 ALL_SCHEMES = [
     MatchingScheme.RM,
@@ -81,10 +84,9 @@ class TestPropertySweep:
     @pytest.mark.parametrize("name", GRAPHS, ids=GRAPHS.keys())
     def test_valid_and_maximal(self, scheme, impl, name):
         g = self.GRAPHS[name]
+        kernel = matching_kernel(impl)
         for seed in range(20):
-            match = compute_matching(
-                g, scheme, np.random.default_rng(seed), impl=impl
-            )
+            match = kernel(g, scheme, np.random.default_rng(seed))
             assert is_valid_matching(g, match), (scheme, impl, seed)
             assert is_maximal_matching(g, match), (scheme, impl, seed)
 
@@ -102,15 +104,8 @@ class TestPropertySweep:
 
 class TestDispatch:
     def test_unknown_impl_rejected(self):
-        g = random_graph(20, 0.2, seed=0)
         with pytest.raises(ConfigurationError):
-            compute_matching(
-                g, MatchingScheme.HEM, np.random.default_rng(0), impl="simd"
-            )
-
-    def test_options_validate_impl(self):
-        with pytest.raises(ConfigurationError):
-            DEFAULT_OPTIONS.with_(matching_impl="simd")
+            resolve_kernels(None, env={"REPRO_KERNELS": "simd"})
 
 
 class TestPipelineQuality:
@@ -122,7 +117,7 @@ class TestPipelineQuality:
         cuts = {}
         for impl in ("loop", "vectorized"):
             options = DEFAULT_OPTIONS.with_(
-                matching=MatchingScheme.HEM, matching_impl=impl
+                matching=MatchingScheme.HEM, kernels=impl
             )
             result = partition(
                 graph, 8, options, np.random.default_rng(1995)
@@ -141,11 +136,12 @@ class TestKernelSpeed:
         assert graph.nvtxs >= 100_000
 
         def run(impl):
+            kernel = matching_kernel(impl)
             rng = np.random.default_rng(7)
             best = float("inf")
             for _ in range(2):
                 t0 = time.perf_counter()
-                compute_matching(graph, MatchingScheme.HEM, rng, impl=impl)
+                kernel(graph, MatchingScheme.HEM, rng)
                 best = min(best, time.perf_counter() - t0)
             return best
 

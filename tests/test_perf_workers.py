@@ -1,4 +1,4 @@
-"""Tests for process-parallel recursive bisection (repro.perf.workers).
+"""Tests for process-parallel recursive bisection (repro.resilience.supervisor).
 
 The contract is strict: ``workers=N`` must be *bit-identical* to
 ``workers=1`` for every driver entry — the RNG tree is pre-spawned per
@@ -13,7 +13,7 @@ from repro.core import partition
 from repro.core.options import DEFAULT_OPTIONS
 from repro.matrices import grid2d, grid3d
 from repro.ordering import mlnd_ordering
-from repro.perf.workers import (
+from repro.resilience.supervisor import (
     WORKERS_ENV,
     fan_depth_for,
     resolve_workers,

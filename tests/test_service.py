@@ -17,6 +17,7 @@ bit-identity guarantee is exactly what that test asserts).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -27,7 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core import partition as local_partition
-from repro.core.options import DEFAULT_OPTIONS, cache_key_payload
+from repro.core.options import (
+    CACHE_KEY_FIELDS,
+    DEFAULT_OPTIONS,
+    MultilevelOptions,
+    cache_key_payload,
+)
 from repro.obs import read_trace
 from repro.service import (
     BackgroundServer,
@@ -240,6 +246,20 @@ class TestKeys:
         p2 = cache_key_payload(DEFAULT_OPTIONS.with_())
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
+    def test_every_option_field_is_keyed_or_declared_non_determining(self):
+        """A field added to or removed from MultilevelOptions must be
+        placed here, so it cannot silently change what the cache keys on."""
+        keyed = set(CACHE_KEY_FIELDS)
+        resolved = {"kernels", "faults"}  # env-resolved into the payload
+        non_determining = {
+            "workers", "worker_timeout", "worker_retries", "trace", "sanitize",
+        }
+        assert not keyed & resolved
+        assert not (keyed | resolved) & non_determining
+        fields = {f.name for f in dataclasses.fields(MultilevelOptions)}
+        assert fields == keyed | resolved | non_determining
+        assert set(cache_key_payload(DEFAULT_OPTIONS)) == keyed | resolved
+
 
 # --------------------------------------------------------------------------
 # Request schema
@@ -415,6 +435,37 @@ class TestEndpoints:
             data = sock.recv(65536)
         assert b"400" in data.split(b"\r\n", 1)[0]
         assert b"invalid JSON" in data
+
+    def _raw_exchange(self, addr, data: bytes) -> bytes:
+        """Send raw bytes and read the reply until the server closes."""
+        with socket.create_connection(addr, timeout=30) as sock:
+            sock.sendall(data)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        return reply
+
+    def test_negative_content_length_is_400(self, server):
+        reply = self._raw_exchange(
+            server.address,
+            b"POST /partition HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: -5\r\n\r\n",
+        )
+        assert b"400" in reply.split(b"\r\n", 1)[0]
+        assert b"Content-Length" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    def test_overlong_header_line_is_400(self, server):
+        # Just past the 64 KiB StreamReader line limit, so the server has
+        # read every byte by the time it answers.
+        reply = self._raw_exchange(
+            server.address,
+            b"GET /healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * (2**16 + 200) + b"\r\n\r\n",
+        )
+        assert b"400" in reply.split(b"\r\n", 1)[0]
+        assert b"too long" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
 
     def test_cache_clear_endpoint(self, server):
         body = {"graph": _inline(path_graph(6)), "nparts": 2}

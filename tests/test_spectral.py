@@ -20,6 +20,8 @@ from repro.spectral import (
 from repro.spectral.msb import msb_fiedler
 from repro.core.options import DEFAULT_OPTIONS
 from repro.graph import edge_cut, from_edge_list
+from repro.matrices import grid2d
+from repro.obs import read_trace
 from tests.conftest import (
     assert_valid_bisection,
     cycle_graph,
@@ -213,3 +215,47 @@ class TestChacoML:
         g = dumbbell_graph(k=6)
         r = chaco_ml_bisect(g, DEFAULT_OPTIONS, np.random.default_rng(0))
         assert r.bisection.cut == 1
+
+    def test_sbp_failure_falls_back_inside_the_vcycle(self, grid16):
+        """A failed spectral split walks SBP → GGGP inside the bisection,
+        and k-way keeps that record instead of re-running a bisection."""
+        options = DEFAULT_OPTIONS.with_(faults="lanczos")
+        r = chaco_ml_bisect(grid16, options, np.random.default_rng(0))
+        assert_valid_bisection(grid16, r.bisection)
+        assert r.resilience.count(kind="fallback", phase="initial") == 1
+        p = chaco_ml_partition(grid16, 4, options, np.random.default_rng(1))
+        assert p.cut == edge_cut(grid16, p.where)
+        assert p.resilience.count(kind="fallback", phase="initial") == 3
+        assert p.resilience.count(phase="kway") == 0
+
+    def test_trace_shows_rm_sbp_and_klr_every_other_level(self, tmp_path):
+        """Chaco-ML runs the shared V-cycle, so it is traced like ML: RM
+        under the coarsen span, SBP in the initial span, and KLR refine
+        spans at level 0 and every second level below the coarsest."""
+        path = str(tmp_path / "chaco.jsonl")
+        r = chaco_ml_bisect(
+            grid2d(32, 32), DEFAULT_OPTIONS.with_(trace=path),
+            np.random.default_rng(0),
+        )
+        spans = [rec for rec in read_trace(path) if rec["t"] == "span"]
+        by_id = {s["id"]: s for s in spans}
+        coarsest = r.nlevels - 1
+        assert coarsest >= 4  # deep enough to show the alternation
+
+        matches = [s for s in spans if s["name"] == "coarsen.match"]
+        assert len(matches) == coarsest
+        for s in matches:
+            assert s["fields"]["scheme"] == "rm"
+            assert by_id[s["parent"]]["name"] == "coarsen"
+        (initial,) = [s for s in spans if s["name"] == "initial"]
+        assert initial["fields"]["scheme"] == "sbp"
+
+        refines = [s for s in spans if s["name"] == "refine"]
+        assert {s["fields"]["policy"] for s in refines} == {"klr"}
+        refined = sorted(s["fields"]["level"] for s in refines)
+        assert refined == sorted({0, *range(coarsest - 2, -1, -2)})
+        assert coarsest not in refined
+        projected = sorted(
+            s["fields"]["level"] for s in spans if s["name"] == "project"
+        )
+        assert projected == list(range(coarsest))
