@@ -90,10 +90,11 @@ def coarsen(
         ``coarsen_to`` — injected or natural — since downstream phases then
         run on a larger-than-intended coarsest graph.
     span:
-        Optional open tracer span (the ``CTime`` phase span); when truthy a
-        ``coarsen.level`` event is emitted per level with the coarse sizes
-        and the :func:`~repro.core.matching.matching_stats` summary, and
-        the selected matching/contract backends are recorded on the span.
+        Optional open tracer span (the ``CTime`` phase span); when truthy
+        each level gets a ``coarsen.match`` and a ``coarsen.contract``
+        child span and a ``coarsen.level`` event with the coarse sizes and
+        the :func:`~repro.core.matching.matching_stats` summary, and the
+        selected matching/contract backends are recorded on the span.
     kernels:
         Pre-resolved :class:`repro.kernels.KernelSelection` threaded by the
         driver; resolved from ``options`` when omitted.
@@ -109,10 +110,11 @@ def coarsen(
     matching_kernel = kernels.kernel("matching")
     contract_kernel = kernels.kernel("contract")
     matching_backend = kernels.backend("matching")
+    contract_backend = kernels.backend("contract")
     if span:
         span.set(
             matching_kernel=matching_backend,
-            contract_kernel=kernels.backend("contract"),
+            contract_kernel=contract_backend,
         )
         fallbacks = kernels.as_dict().get("fallbacks")
         if fallbacks:
@@ -165,7 +167,18 @@ def coarsen(
             break  # matching stalled; further levels would spin
         if options.matching is MatchingScheme.HCM:
             cewgt = collapsed_edge_weight(current, cmap, ncoarse, cewgt)
-        coarse = contract_kernel(current, cmap, ncoarse)
+        with (
+            span.child(
+                "coarsen.contract",
+                level=level,
+                nvtxs=current.nvtxs,
+                ncoarse=ncoarse,
+                impl=contract_backend,
+            )
+            if span
+            else NULL_SPAN
+        ):
+            coarse = contract_kernel(current, cmap, ncoarse)
         if san:
             san.check_contraction(current, coarse, cmap, level=level)
         hierarchy.graphs.append(coarse)

@@ -21,6 +21,13 @@ Schemes differ only in the neighbour choice:
 
 A matching is returned in involution form: ``match[v]`` is ``v``'s partner,
 or ``v`` itself when unmatched.
+
+The loop walks each visited vertex's adjacency as Python scalars: one pass
+over memoryviews of the CSR arrays, evaluating the scheme's criterion for
+every free neighbour with a strict comparison, so ties go to the first
+such neighbour in the adjacency list.  A NumPy call per vertex would cost
+more than the handful of neighbours it scans.  ``tests/test_matching.py``
+keeps the per-vertex NumPy formulation as the bit-identity reference.
 """
 
 from __future__ import annotations
@@ -36,39 +43,37 @@ UNMATCHED = -1
 def _match_loop(graph, rng, pick):
     """Shared randomized maximal-matching skeleton.
 
-    ``pick(candidates, weights, slice)`` chooses the index (into the
-    neighbour slice) of the partner among unmatched candidates, or -1 to
-    leave the vertex unmatched (never happens when candidates exist).
+    Vertices are visited in the order of one ``rng.permutation(n)``.
+    ``pick(u, s, e, match)`` scans ``u``'s adjacency slice ``[s, e)``
+    against the list ``match`` and returns the chosen unmatched neighbour,
+    or ``UNMATCHED`` when there is none: ``u`` then stays unmatched and is
+    copied to the coarse graph.
     """
-    n = graph.nvtxs
-    xadj, adjncy = graph.xadj, graph.adjncy
-    match = np.full(n, UNMATCHED, dtype=np.int64)
-    for u in rng.permutation(n):
+    xadj = memoryview(graph.xadj)
+    match = [UNMATCHED] * graph.nvtxs
+    for u in memoryview(rng.permutation(graph.nvtxs)):
         if match[u] != UNMATCHED:
             continue
-        s, e = xadj[u], xadj[u + 1]
-        nbrs = adjncy[s:e]
-        free = match[nbrs] == UNMATCHED
-        if not free.any():
-            match[u] = u  # stays unmatched; copied to the coarse graph
-            continue
-        idx = pick(u, nbrs, free, s, e)
-        v = int(nbrs[idx])
+        v = pick(u, xadj[u], xadj[u + 1], match)
+        if v == UNMATCHED:
+            v = u
         match[u] = v
         match[v] = u
-    # Vertices never visited as 'u' but also never chosen as partners keep
-    # UNMATCHED only if the permutation missed them — it cannot, so any
-    # remaining UNMATCHED means an isolated vertex already handled above.
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def rm_matching(graph, rng=None) -> np.ndarray:
     """Random matching (RM): uniformly random unmatched neighbour."""
     rng = as_generator(rng)
+    adjncy = memoryview(graph.adjncy)
 
-    def pick(u, nbrs, free, s, e):
-        candidates = np.flatnonzero(free)
-        return int(candidates[rng.integers(len(candidates))])
+    def pick(u, s, e, match):
+        free = [v for v in adjncy[s:e] if match[v] == UNMATCHED]
+        if len(free) > 1:
+            return free[rng.integers(len(free))]
+        # integers(1) draws nothing, so a lone candidate skips the call
+        # and leaves the stream exactly where the call would.
+        return free[0] if free else UNMATCHED
 
     return _match_loop(graph, rng, pick)
 
@@ -76,17 +81,21 @@ def rm_matching(graph, rng=None) -> np.ndarray:
 def hem_matching(graph, rng=None) -> np.ndarray:
     """Heavy-edge matching (HEM): heaviest edge to an unmatched neighbour.
 
-    Ties are broken by position in the adjacency list, which is effectively
-    random for the shuffled graphs our generators emit; the visiting order
-    is random regardless.
+    Ties go to the first such neighbour in the adjacency list (the strict
+    comparison keeps the earliest maximum), which is effectively random
+    for the shuffled graphs our generators emit; the visiting order is
+    random regardless.
     """
     rng = as_generator(rng)
-    adjwgt = graph.adjwgt
+    adjncy, adjwgt = memoryview(graph.adjncy), memoryview(graph.adjwgt)
 
-    def pick(u, nbrs, free, s, e):
-        w = adjwgt[s:e].copy()
-        w[~free] = -1
-        return int(np.argmax(w))
+    def pick(u, s, e, match):
+        best, heaviest = UNMATCHED, -1
+        for j in range(s, e):
+            v = adjncy[j]
+            if match[v] == UNMATCHED and adjwgt[j] > heaviest:
+                best, heaviest = v, adjwgt[j]
+        return best
 
     return _match_loop(graph, rng, pick)
 
@@ -94,13 +103,16 @@ def hem_matching(graph, rng=None) -> np.ndarray:
 def lem_matching(graph, rng=None) -> np.ndarray:
     """Light-edge matching (LEM): lightest edge to an unmatched neighbour."""
     rng = as_generator(rng)
-    adjwgt = graph.adjwgt
-    big = np.int64(np.iinfo(np.int64).max)
+    adjncy, adjwgt = memoryview(graph.adjncy), memoryview(graph.adjwgt)
+    big = int(np.iinfo(np.int64).max)
 
-    def pick(u, nbrs, free, s, e):
-        w = adjwgt[s:e].copy()
-        w[~free] = big
-        return int(np.argmin(w))
+    def pick(u, s, e, match):
+        best, lightest = UNMATCHED, big
+        for j in range(s, e):
+            v = adjncy[j]
+            if match[v] == UNMATCHED and adjwgt[j] < lightest:
+                best, lightest = v, adjwgt[j]
+        return best
 
     return _match_loop(graph, rng, pick)
 
@@ -119,18 +131,25 @@ def hcm_matching(graph, rng=None, cewgt=None) -> np.ndarray:
     uncoarsened unit-weight graph.
     """
     rng = as_generator(rng)
-    adjwgt, vwgt = graph.adjwgt, graph.vwgt
+    adjncy, adjwgt = memoryview(graph.adjncy), memoryview(graph.adjwgt)
+    vwgt = memoryview(graph.vwgt)
     if cewgt is None:
         cewgt = np.zeros(graph.nvtxs, dtype=np.int64)
+    cewgt = memoryview(np.ascontiguousarray(cewgt, dtype=np.int64))
 
-    def pick(u, nbrs, free, s, e):
-        nu = vwgt[u]
-        sizes = vwgt[nbrs] + nu
-        internal = cewgt[nbrs] + cewgt[u] + adjwgt[s:e]
-        denom = sizes * (sizes - 1)
-        density = np.where(denom > 0, 2.0 * internal / np.maximum(denom, 1), 0.0)
-        density = np.where(free, density, -1.0)
-        return int(np.argmax(density))
+    def pick(u, s, e, match):
+        nu, cu = vwgt[u], cewgt[u]
+        best, densest = UNMATCHED, -1.0
+        for j in range(s, e):
+            v = adjncy[j]
+            if match[v] == UNMATCHED:
+                size = vwgt[v] + nu
+                denom = size * (size - 1)
+                internal = cewgt[v] + cu + adjwgt[j]
+                density = 2.0 * internal / denom if denom > 0 else 0.0
+                if density > densest:
+                    best, densest = v, density
+        return best
 
     return _match_loop(graph, rng, pick)
 

@@ -11,16 +11,17 @@ and are preserved (and tested) here:
   ``W(E_{i+1}) = W(E_i) − W(M_i)``.
 
 The kernel is fully vectorised: it maps every directed edge through the
-coarse map, drops intra-multinode edges, lexsorts the remainder and merges
-runs with ``np.add.reduceat`` — O(m log m) with NumPy constants, which is
-the difference between usable and unusable in pure Python.
+coarse map, drops intra-multinode edges, sorts the remainder once on the
+fused key ``cu * ncoarse + cv`` and merges runs of equal keys with
+``np.add.reduceat`` — O(m log m) with NumPy constants.  It is the one
+contraction of the ``loop`` and ``vectorized`` kernel backends.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
+from repro.graph.csr import CSRGraph
 from repro.graph.partition import exact_weight_bincount
 
 
@@ -52,30 +53,6 @@ def coarse_map_from_matching(match) -> tuple[np.ndarray, int]:
     return cmap, int(is_leader.sum())
 
 
-def merge_sorted_coarse_edges(cu, cv, w, ncoarse):
-    """Merge duplicate runs of *sorted* directed coarse edges into CSR form.
-
-    ``(cu, cv, w)`` must be sorted so equal ``(cu, cv)`` pairs are
-    contiguous and ``cu`` is non-decreasing (any such order gives the same
-    result: duplicate weights merge by int64 summation, which is
-    order-independent).  Returns ``(xadj, adjncy, adjwgt)`` for the coarse
-    graph.  Shared by the reference kernel below and the fused-key
-    vectorized kernel in :mod:`repro.kernels.vec_backend`.
-    """
-    new_run = np.empty(len(cu), dtype=bool)
-    new_run[0] = True
-    new_run[1:] = (cu[1:] != cu[:-1]) | (cv[1:] != cv[:-1])
-    starts = np.flatnonzero(new_run)
-    mu = cu[starts]
-    mv = cv[starts]
-    mw = np.add.reduceat(w, starts)
-
-    counts = np.bincount(mu, minlength=ncoarse)
-    xadj = np.zeros(ncoarse + 1, dtype=np.int64)
-    np.cumsum(counts, out=xadj[1:])
-    return xadj, mv.astype(INDEX_DTYPE), mw.astype(WEIGHT_DTYPE)
-
-
 def contract(graph, cmap, ncoarse) -> CSRGraph:
     """Contract ``graph`` according to the coarse map ``cmap``.
 
@@ -83,35 +60,30 @@ def contract(graph, cmap, ncoarse) -> CSRGraph:
     kernel also serves cluster-based coarsening extensions.  Groups must be
     connected or at least disjoint; dense ids ``0..ncoarse-1`` are required.
     """
-    n = graph.nvtxs
     cmap = np.asarray(cmap, dtype=np.int64)
-    src = graph.edge_sources()
-    cu = cmap[src]
+    cu = cmap[graph.edge_sources()]
     cv = cmap[graph.adjncy]
     keep = cu != cv  # drop collapsed (intra-multinode) edges
-    cu, cv = cu[keep], cv[keep]
-    w = graph.adjwgt[keep]
+    # One sort on the fused key: collision-free because both factors are
+    # below ncoarse, and ncoarse² < 2⁶³ for any graph that fits in memory.
+    key = cu[keep] * np.int64(ncoarse) + cv[keep]
+    order = np.argsort(key)
+    key, w = key[order], graph.adjwgt[keep][order]
+    # Parallel edges created by the union merge by int64 summation, which
+    # no order within a run of equal keys can change.
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_run)
+    mu, mv = np.divmod(key[starts], ncoarse)
+    xadj = np.zeros(ncoarse + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mu, minlength=ncoarse), out=xadj[1:])
 
     cvwgt = exact_weight_bincount(
         cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
     )
-
-    if len(cu) == 0:
-        xadj = np.zeros(ncoarse + 1, dtype=np.int64)
-        coarse = CSRGraph(
-            xadj,
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=WEIGHT_DTYPE),
-            cvwgt,
-            validate=False,
-        )
-        propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-        return coarse
-
-    order = np.lexsort((cv, cu))
-    cu, cv, w = cu[order], cv[order], w[order]
-    xadj, cadjncy, cadjwgt = merge_sorted_coarse_edges(cu, cv, w, ncoarse)
-    coarse = CSRGraph(xadj, cadjncy, cadjwgt, cvwgt, validate=False)
+    coarse = CSRGraph(
+        xadj, mv, np.add.reduceat(w, starts), cvwgt, validate=False
+    )
     propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
     return coarse
 

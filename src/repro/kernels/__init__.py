@@ -10,14 +10,14 @@ kernels:
 
 ``loop``
     The bit-exact reference implementations in :mod:`repro.core` /
-    :mod:`repro.graph`.  Always available, always the default, and the
-    only backend whose output reproduces the paper's published runs
+    :mod:`repro.graph`: scalar-scan matching, the Python FM pass and the
+    single-sort contraction.  Always available, always the default, and
+    the only backend whose output reproduces the paper's published runs
     bit-for-bit.
 ``vectorized``
-    Whole-array NumPy kernels: the batched proposal-round matching and a
-    fused-sort-key contraction.  Same validity oracles; matching makes
-    different (still deterministic) tie-breaks, contraction is
-    bit-identical.
+    The whole-array NumPy batched proposal-round matching.  Same validity
+    oracles, different (still deterministic) tie-breaks; FM and
+    contraction fall back to ``loop``.
 ``numba``
     Optional ``@njit`` kernels for the FM inner loop (bucket gain
     arrays), matching, contraction and the k-way boundary sweep.
@@ -286,12 +286,6 @@ def _load_vec_matching():
     return vectorized_matching
 
 
-def _load_vec_contract():
-    from repro.kernels.vec_backend import contract_vectorized
-
-    return contract_vectorized
-
-
 def _load_numba_matching():
     from repro.kernels import numba_backend
 
@@ -327,12 +321,7 @@ register_backend(
 )
 
 register_backend(
-    "vectorized",
-    {
-        "matching": _load_vec_matching,
-        "contract": _load_vec_contract,
-    },
-    fallback="loop",
+    "vectorized", {"matching": _load_vec_matching}, fallback="loop"
 )
 
 register_backend(

@@ -1,14 +1,11 @@
-"""The ``vectorized`` kernel backend: whole-array NumPy kernels.
+"""The ``vectorized`` kernel backend: whole-array NumPy matching.
 
 Reached only through the :mod:`repro.kernels` registry (lint rule RP017).
-Two phase kernels live here:
-
-**Matching** — batched proposal rounds.  The reference kernels in
-:mod:`repro.core.matching` visit vertices one at a time in a random
-order — O(|E|) work but with a Python-level loop whose per-vertex
-overhead dominates CTime on large graphs.  :func:`vectorized_matching`
-rewrites all four §3.1 schemes as *proposal rounds* made of whole-array
-NumPy passes:
+The backend has one phase kernel, matching, built from batched proposal
+rounds.  The reference kernels in :mod:`repro.core.matching` visit
+vertices one at a time in a random order — O(|E|) work in one scalar pass
+per vertex.  :func:`vectorized_matching` rewrites all four §3.1 schemes as
+*proposal rounds* made of whole-array NumPy passes:
 
 1. every vertex that is still free proposes to its best free neighbour,
    where "best" is the scheme's criterion (heaviest edge for HEM, lightest
@@ -35,17 +32,9 @@ construction, which is the involution oracle.
 The result is deterministic for a given generator but *not* bit-identical
 to the loop kernels (the visitation order and the proposal rounds consume
 randomness differently); keep the ``loop`` backend when reproducing the
-paper's published tables bit-for-bit.
-
-**Contraction** — fused-key bucketing.  The reference
-:func:`repro.graph.contract.contract` lexsorts the mapped directed edges
-by ``(cu, cv)`` with ``np.lexsort``, which runs one stable argsort per
-key.  :func:`contract_vectorized` fuses the pair into the single int64
-key ``cu * ncoarse + cv`` (collision-free: both factors are below
-``ncoarse`` and ``ncoarse² < 2⁶³`` for any graph that fits in memory) and
-sorts once.  The run boundaries — and therefore the merged coarse graph —
-are **bit-identical** to the reference kernel: duplicate-edge weights are
-summed in int64, where addition order cannot change the result.
+paper's published tables bit-for-bit.  Contraction has no kernel here: the
+backend falls back to the ``loop`` backend's single-sort
+:func:`repro.graph.contract.contract`.
 """
 
 from __future__ import annotations
@@ -53,9 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.options import MatchingScheme
-from repro.graph.contract import merge_sorted_coarse_edges, propagate_coords
-from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
-from repro.graph.partition import exact_weight_bincount
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import as_generator
 
@@ -166,48 +152,8 @@ def vectorized_matching(graph, scheme, rng=None, cewgt=None) -> np.ndarray:
     return match
 
 
-def contract_vectorized(graph, cmap, ncoarse) -> CSRGraph:
-    """Contract ``graph`` by ``cmap`` with one fused-key argsort.
-
-    Bit-identical to :func:`repro.graph.contract.contract` (see the
-    module docstring): only the sort differs, and the merged runs it
-    delimits are the same.
-    """
-    cmap = np.asarray(cmap, dtype=np.int64)
-    src = graph.edge_sources()
-    cu = cmap[src]
-    cv = cmap[graph.adjncy]
-    keep = cu != cv  # drop collapsed (intra-multinode) edges
-    cu, cv = cu[keep], cv[keep]
-    w = graph.adjwgt[keep]
-
-    cvwgt = exact_weight_bincount(
-        cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
-    )
-
-    if len(cu) == 0:
-        xadj = np.zeros(ncoarse + 1, dtype=np.int64)
-        coarse = CSRGraph(
-            xadj,
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=WEIGHT_DTYPE),
-            cvwgt,
-            validate=False,
-        )
-        propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-        return coarse
-
-    order = np.argsort(cu * np.int64(ncoarse) + cv)
-    cu, cv, w = cu[order], cv[order], w[order]
-    xadj, cadjncy, cadjwgt = merge_sorted_coarse_edges(cu, cv, w, ncoarse)
-    coarse = CSRGraph(xadj, cadjncy, cadjwgt, cvwgt, validate=False)
-    propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-    return coarse
-
-
 __all__ = [
     "vectorized_matching",
-    "contract_vectorized",
     "segment_max",
     "UNMATCHED",
 ]

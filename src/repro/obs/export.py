@@ -51,7 +51,7 @@ def read_trace(path) -> list[dict]:
 
 
 #: Phase affiliation for spans that carry no ``fields.phase`` tag.  Nested
-#: kernel spans (``coarsen.match``) are deliberately *not* phase-tagged —
+#: kernel spans (``coarsen.match``, ``coarsen.contract``) are not tagged —
 #: tagging them would double-count their wall-clock inside the already
 #: phase-tagged parent span in ``phases`` — and driver-level recursion
 #: spans (``partition`` / ``dissect`` / ``kway.branch``) enclose whole
@@ -59,6 +59,7 @@ def read_trace(path) -> list[dict]:
 #: dumping them in "other".
 SPAN_PHASES = {
     "coarsen.match": "CTime",
+    "coarsen.contract": "CTime",
     "kway-refine": "RTime",
     "kway.branch": "driver",
     "partition": "driver",
@@ -96,7 +97,7 @@ def profile(records) -> dict:
     * ``spans`` — per span name: ``count`` and ``total`` seconds;
     * ``rollup`` — spans grouped by phase affiliation: ``fields.phase``
       when tagged, else the :data:`SPAN_PHASES` table (this is what puts
-      the nested ``coarsen.match`` kernel under CTime and the recursion
+      the nested ``coarsen.*`` kernel spans under CTime and the recursion
       spans under "driver" instead of "other").  Per bucket: ``total``,
       ``count`` and a per-span-name ``spans`` breakdown.  Nested spans
       appear under their own name *and* inside their parent's duration,

@@ -4,8 +4,8 @@ Three layers of guarantees, from strongest to weakest:
 
 * **bit-exactness** — the ``loop`` backend must reproduce the pre-registry
   pipeline byte for byte (golden cuts/hashes pinned below), and the
-  ``vectorized``/``numba`` contraction and the ``numba`` HEM/LEM/HCM
-  matching must be bit-identical to ``loop``;
+  ``numba`` contraction and HEM/LEM/HCM matching must be bit-identical
+  to ``loop``;
 * **move-for-move identity** — the jitted k-way sweep applies exactly the
   moves the Python sweep applies;
 * **semantic equivalence** — backends whose tie-breaks legitimately differ
@@ -93,7 +93,10 @@ class TestResolution:
         sel = resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
         assert sel.requested == "vectorized"
         assert sel.backend("matching") == "vectorized"
-        assert sel.backend("contract") == "vectorized"
+        # vectorized has no contraction of its own: loop's is the only one.
+        assert sel.backend("contract") == "loop"
+        fallbacks = sel.as_dict()["fallbacks"]
+        assert fallbacks["contract"] == "vectorized has no contract kernel"
 
     def test_options_beat_env(self):
         options = DEFAULT_OPTIONS.with_(kernels="loop")
@@ -112,14 +115,15 @@ class TestResolution:
             pytest.skip("numba installed: the degradation path is inert")
         sel = resolve_kernels(None, env={"REPRO_KERNELS": "numba"})
         assert sel.requested == "numba"
-        # numba → vectorized for matching/contract, → loop for fm.
+        # numba → vectorized for matching, → loop for fm and contract.
         assert sel.backend("matching") == "vectorized"
-        assert sel.backend("contract") == "vectorized"
+        assert sel.backend("contract") == "loop"
         assert sel.backend("fm") == "loop"
         fallbacks = sel.as_dict()["fallbacks"]
         assert set(fallbacks) == set(PHASES)
         for reason in fallbacks.values():
             assert "unavailable" in reason
+        assert "vectorized has no contract kernel" in fallbacks["contract"]
 
     def test_numba_selected_when_available(self):
         if not numba_available():
@@ -298,7 +302,7 @@ class TestCrossBackendSweep:
 
 
 class TestContractBackends:
-    """Both alternative contraction kernels are bit-identical to reference."""
+    """The jitted contraction kernel is bit-identical to the reference."""
 
     def _cases(self):
         rng = np.random.default_rng(0)
@@ -315,12 +319,6 @@ class TestContractBackends:
                         nxt += 1
                 yield g, cmap, nxt
         del rng
-
-    def test_vectorized_bit_identical(self):
-        for g, cmap, ncoarse in self._cases():
-            ref = contract(g, cmap, ncoarse)
-            vec = vec_backend.contract_vectorized(g, cmap, ncoarse)
-            assert _graphs_identical(ref, vec)
 
     def test_numba_bit_identical(self):
         for g, cmap, ncoarse in self._cases():
@@ -484,7 +482,7 @@ class TestResultMetadata:
         assert coarsen_spans and refine_spans
         for s in coarsen_spans:
             assert s["fields"]["matching_kernel"] == "vectorized"
-            assert s["fields"]["contract_kernel"] == "vectorized"
+            assert s["fields"]["contract_kernel"] == "loop"
             assert "fm" in s["fields"]["kernel_fallbacks"]
         for s in refine_spans:
             assert s["fields"]["kernel"] == "loop"  # vectorized has no fm

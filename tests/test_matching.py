@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.coarsen import coarsen
 from repro.core.matching import (
     compute_matching,
     hcm_matching,
@@ -12,8 +15,11 @@ from repro.core.matching import (
     lem_matching,
     rm_matching,
 )
-from repro.core.options import MatchingScheme
+from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.graph import from_edge_list, matching_weight
+from repro.graph.contract import collapsed_edge_weight
+from repro.matrices import load
+from repro.utils.rng import as_generator
 from tests.conftest import (
     complete_graph,
     cycle_graph,
@@ -23,6 +29,61 @@ from tests.conftest import (
 )
 
 ALL_SCHEMES = [rm_matching, hem_matching, lem_matching, hcm_matching]
+
+
+def _reference_matching(graph, scheme, rng=None, cewgt=None):
+    """The per-vertex NumPy formulation of the four §3.1 schemes.
+
+    The straightforward version the scalar-scan kernels in
+    :mod:`repro.core.matching` must reproduce bit for bit: same visiting
+    order (one ``rng.permutation``), same single ``rng.integers`` draw per
+    RM vertex, and ``argmax``/``argmin``'s first-index tie-break over a
+    masked copy of the neighbour slice.
+    """
+    scheme = MatchingScheme(scheme)
+    rng = as_generator(rng)
+    xadj, adjncy = graph.xadj, graph.adjncy
+    adjwgt, vwgt = graph.adjwgt, graph.vwgt
+    if cewgt is None:
+        cewgt = np.zeros(graph.nvtxs, dtype=np.int64)
+
+    def pick(u, nbrs, free, s, e):
+        if scheme is MatchingScheme.RM:
+            candidates = np.flatnonzero(free)
+            return int(candidates[rng.integers(len(candidates))])
+        if scheme is MatchingScheme.HEM:
+            w = adjwgt[s:e].copy()
+            w[~free] = -1
+            return int(np.argmax(w))
+        if scheme is MatchingScheme.LEM:
+            w = adjwgt[s:e].copy()
+            w[~free] = np.iinfo(np.int64).max
+            return int(np.argmin(w))
+        sizes = vwgt[nbrs] + vwgt[u]
+        internal = cewgt[nbrs] + cewgt[u] + adjwgt[s:e]
+        denom = sizes * (sizes - 1)
+        density = np.where(
+            denom > 0, 2.0 * internal / np.maximum(denom, 1), 0.0
+        )
+        density = np.where(free, density, -1.0)
+        return int(np.argmax(density))
+
+    match = np.full(graph.nvtxs, -1, dtype=np.int64)
+    for u in rng.permutation(graph.nvtxs):
+        if match[u] != -1:
+            continue
+        s, e = xadj[u], xadj[u + 1]
+        nbrs = adjncy[s:e]
+        free = match[nbrs] == -1
+        if not free.any():
+            match[u] = u
+            continue
+        v = int(nbrs[pick(u, nbrs, free, s, e)])
+        match[u] = v
+        match[v] = u
+    return match
+
+
 GRAPHS = {
     "path10": path_graph(10),
     "cycle9": cycle_graph(9),
@@ -190,3 +251,67 @@ class TestMatchingValidators:
         g = path_graph(4)
         # Nothing matched although edges exist.
         assert not is_maximal_matching(g, np.arange(4))
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """A small graph with isolated vertices, tie-prone edge weights in 1..3,
+    random vertex weights and a random ``cewgt`` for HCM."""
+    n = draw(st.integers(1, 30))
+    isolated = draw(st.integers(1, 3))
+    total = n + isolated
+    label = draw(st.permutations(range(total)))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(
+        st.lists(st.sampled_from(possible), unique=True, max_size=80)
+    ) if possible else []
+    edges = [(label[i], label[j]) for i, j in pairs]
+    weights = draw(
+        st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges))
+    )
+    vwgt = draw(st.lists(st.integers(1, 4), min_size=total, max_size=total))
+    cewgt = draw(st.lists(st.integers(0, 6), min_size=total, max_size=total))
+    graph = from_edge_list(total, edges, weights, vwgt=vwgt)
+    return graph, np.array(cewgt, dtype=np.int64)
+
+
+@pytest.mark.parametrize("scheme", list(MatchingScheme), ids=lambda s: s.name)
+class TestReferenceOracle:
+    """The scalar-scan kernels are bit-identical to the NumPy reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_weighted_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, scheme, case, seed):
+        graph, cewgt = case
+        if scheme is not MatchingScheme.HCM:
+            cewgt = None
+        for s in (seed, seed + 1, seed + 2):
+            got = compute_matching(
+                graph, scheme, np.random.default_rng(s), cewgt
+            )
+            ref = _reference_matching(
+                graph, scheme, np.random.default_rng(s), cewgt
+            )
+            assert np.array_equal(got, ref), s
+
+    def test_coarsening_hierarchy_levels(self, scheme):
+        # Every level of a real hierarchy: coarse vertex and edge weights
+        # above 1 and, for HCM, the cewgt that coarsening threads through.
+        graph = load("4ELT", scale=0.3, seed=0)
+        hierarchy = coarsen(
+            graph, DEFAULT_OPTIONS.with_(matching=scheme),
+            np.random.default_rng(5),
+        )
+        cewgt = np.zeros(graph.nvtxs, dtype=np.int64)
+        for level, g in enumerate(hierarchy.graphs):
+            hcm = cewgt if scheme is MatchingScheme.HCM else None
+            got = compute_matching(g, scheme, np.random.default_rng(level), hcm)
+            ref = _reference_matching(
+                g, scheme, np.random.default_rng(level), hcm
+            )
+            assert np.array_equal(got, ref), level
+            if level < len(hierarchy.cmaps):
+                ncoarse = hierarchy.graphs[level + 1].nvtxs
+                cewgt = collapsed_edge_weight(
+                    g, hierarchy.cmaps[level], ncoarse, cewgt
+                )

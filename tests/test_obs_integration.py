@@ -206,15 +206,36 @@ class TestProfileRollup:
         partition(g, 4, options, np.random.default_rng(2))
         prof = profile(read_trace(trace_path))
 
-        match_spans = prof["rollup"]["CTime"]["spans"]
-        assert "coarsen.match" in match_spans
-        assert match_spans["coarsen.match"] > 0.0
+        ctime_spans = prof["rollup"]["CTime"]["spans"]
+        for name in ("coarsen.match", "coarsen.contract"):
+            assert name in ctime_spans
+            assert ctime_spans[name] > 0.0
+            assert name not in prof["rollup"]["other"]["spans"]
+        assert (
+            prof["spans"]["coarsen.contract"]["count"]
+            == prof["spans"]["coarsen.match"]["count"]
+        )
 
         driver_spans = prof["rollup"]["driver"]["spans"]
         assert "kway.branch" in driver_spans
         assert "partition" in driver_spans
-        assert "coarsen.match" not in prof["rollup"]["other"]["spans"]
         assert "kway.branch" not in prof["rollup"]["other"]["spans"]
+
+    def test_contract_span_fields(self, trace_path):
+        g = grid2d(40, 40)
+        options = DEFAULT_OPTIONS.with_(trace=trace_path)
+        bisect(g, options, np.random.default_rng(2))
+        spans = [r for r in read_trace(trace_path) if r["t"] == "span"]
+        contracts = [s for s in spans if s["name"] == "coarsen.contract"]
+        assert contracts
+        nvtxs = g.nvtxs
+        for level, span in enumerate(contracts):
+            fields = span["fields"]
+            assert fields["level"] == level
+            assert fields["nvtxs"] == nvtxs
+            assert 0 < fields["ncoarse"] < nvtxs
+            assert fields["impl"] == "loop"
+            nvtxs = fields["ncoarse"]
 
     def test_phases_totals_unchanged_by_rollup(self, trace_path):
         # The rollup is additional reporting: the ``phases`` reconciliation

@@ -3,7 +3,9 @@
 These validate our substrate implementations against independent, widely
 trusted code — the strongest correctness evidence available for graph
 algorithms with many edge cases.  They are skipped when the optional test
-dependencies are unavailable.
+dependencies are unavailable.  A metamorphic relation (edge-weight
+scaling) closes the file: there the oracle is the pipeline's own output
+on the unscaled graph.
 """
 
 import numpy as np
@@ -12,8 +14,11 @@ import pytest
 nx = pytest.importorskip("networkx")
 scipy = pytest.importorskip("scipy")
 
-from repro.graph import edge_cut, from_edge_list, to_networkx
+from repro.core.multilevel import bisect
+from repro.core.options import DEFAULT_OPTIONS
+from repro.graph import CSRGraph, edge_cut, from_edge_list, to_networkx
 from repro.graph.components import connected_components, num_components
+from repro.matrices import load
 from repro.spectral import algebraic_connectivity, dense_laplacian, fiedler_vector
 from tests.conftest import random_graph
 
@@ -124,3 +129,25 @@ class TestMatchingVsNetworkx:
         exact = nx.max_weight_matching(to_networkx(wg), weight="weight")
         exact_weight = sum(wg.edge_weight(u, v) for u, v in exact)
         assert ours >= 0.5 * exact_weight
+
+
+class TestEdgeWeightScaling:
+    """Scaling every edge weight by ``c`` leaves the default bisection's
+    ``where`` unchanged and scales its cut by ``c``.
+
+    Every decision of the default pipeline — HEM's heaviest neighbour,
+    GGGP's and FM's gain comparisons, the tie-breaks among equal gains —
+    depends only on the order of edge-weight sums, which a positive scale
+    factor preserves, while balance reads vertex weights only.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["4ELT", "BCSSTK31", "MEMPLUS", "LSHP3466"])
+    def test_where_unchanged_cut_scales(self, name, seed):
+        g = load(name, scale=0.25, seed=0)
+        base = bisect(g, DEFAULT_OPTIONS, np.random.default_rng(seed))
+        for c in (2, 3, 7):
+            scaled = CSRGraph(g.xadj, g.adjncy, g.adjwgt * c, g.vwgt)
+            r = bisect(scaled, DEFAULT_OPTIONS, np.random.default_rng(seed))
+            assert np.array_equal(r.bisection.where, base.bisection.where), c
+            assert r.bisection.cut == c * base.bisection.cut, c
