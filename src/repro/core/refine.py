@@ -13,9 +13,15 @@ that the paper's implementation uses ("similar to that described in [6]"):
    improve on the best state seen (``x = 50`` in the paper) and undo the
    trailing non-improving moves.
 
-Moved-vertex bookkeeping keeps the external/internal degree arrays exact at
-all times, so the running cut is ``cut −= gain`` per move and never needs
-recomputation; the pass returns the improvement it achieved.
+Moved-vertex bookkeeping keeps the external/internal degree arrays exact
+during the pass, so the running cut is ``cut −= gain`` per move and never
+needs recomputation; the pass returns the improvement it achieved.
+
+The move loop walks the moved vertex's adjacency as Python scalars over
+memoryviews: a NumPy call per move costs more than the few neighbours it
+touches.  Each neighbour's gain-table push follows its own degree update,
+in adjacency order, exactly as in the per-move NumPy formulation that
+``tests/test_refine.py`` keeps as the bit-identity reference.
 
 The five policies stack passes differently:
 
@@ -118,7 +124,10 @@ def fm_pass(
         The paper's ``x``: stop after this many consecutive non-improving
         moves.
     ed, id_:
-        Optional pre-computed degree arrays (recomputed when omitted).
+        Optional external/internal degree arrays of ``where`` (computed
+        when omitted).  The pass updates them in place as vertices move and
+        does not reverse them in the undo step, so on return they are stale
+        for the restored ``where``: pass fresh arrays to every pass.
     san:
         Optional active :class:`repro.analysis.sanitize.Sanitizer`; when
         set, the incrementally-maintained degrees and running cut are
@@ -138,7 +147,6 @@ def fm_pass(
         the cut decrease plus any balance repair (> 0 means the pass helped).
     """
     n = graph.nvtxs
-    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
     if ed is None or id_ is None:
         ed, id_ = external_internal_degrees(graph, where)
 
@@ -153,11 +161,16 @@ def fm_pass(
         mine = seeds[where_arr[seeds] == side]
         tables[side].bulk_load(mine, gains[mine])
 
-    locked = np.zeros(n, dtype=bool)
+    # Scalar views for the move loop; they write through to the caller's
+    # arrays.  Part weights are Python ints, copied back into ``pwgts``.
+    xadj, adjncy = memoryview(graph.xadj), memoryview(graph.adjncy)
+    adjwgt, vwgt = memoryview(graph.adjwgt), memoryview(graph.vwgt)
+    where_s, ed_s, id_s = memoryview(where_arr), memoryview(ed), memoryview(id_)
+    locked = bytearray(n)
+    pw = [int(pwgts[0]), int(pwgts[1])]
     moved: list[int] = []
     best_prefix = 0
-    start_key = _balance_key(pwgts, maxpwgt, cut)
-    best_key = start_key
+    start_key = best_key = key = _balance_key(pw, maxpwgt, cut)
     since_best = 0
     # Per-pass counters (folded into the cumulative ``stats`` at the end so
     # the traced event can report this pass alone, not the running totals).
@@ -165,16 +178,14 @@ def fm_pass(
     rejected = 0
     boundary0 = int((ed > 0).sum()) if span else 0
 
-    def pop_valid(side):
-        """Best unlocked vertex of ``side`` with an up-to-date gain.
+    def pop_valid(table):
+        """Best unlocked vertex of ``table`` with an up-to-date gain.
 
         Gains in the tables are *lazy*: neighbour updates do not touch the
         heap.  A popped entry whose stored gain is stale is re-pushed with
-        the current gain and the pop retried — the amortised cost matches
-        eager updates while the per-move bookkeeping drops to O(deg) NumPy
-        work.
+        the current gain and the pop retried, so each move does O(deg)
+        scalar work plus the re-pushes of its stale pops.
         """
-        table = tables[side]
         while True:
             item = table.pop_best()
             if item is None:
@@ -182,16 +193,16 @@ def fm_pass(
             v, gain = item
             if locked[v]:
                 continue
-            gain_now = int(ed[v] - id_[v])
-            # Both sides are exact ints (ed/id_ are int64 arrays).
+            gain_now = ed_s[v] - id_s[v]
+            # Both sides are exact ints read from the int64 degree arrays.
             if gain_now != gain:  # repro: noqa[RP004]
                 table.push(v, gain_now)
                 continue
-            return v, gain
+            return item
 
     while since_best < early_exit:
-        c0 = pop_valid(0)
-        c1 = pop_valid(1)
+        c0 = pop_valid(tables[0])
+        c1 = pop_valid(tables[1])
         if c0 is None and c1 is None:
             break
         # Prefer the higher gain; break ties toward the heavier side so the
@@ -205,81 +216,63 @@ def fm_pass(
         elif c1[1] > c0[1]:
             side = 1
         else:
-            side = 0 if pwgts[0] >= pwgts[1] else 1
+            side = 0 if pw[0] >= pw[1] else 1
         v, gain = (c0, c1)[side]
         unchosen = (c0, c1)[1 - side]
         if unchosen is not None:
             tables[1 - side].push(unchosen[0], unchosen[1])
         other = 1 - side
-        w_v = int(vwgt[v])
-        if int(pwgts[side]) == w_v:
-            locked[v] = True  # moving v would empty its side
+        w_v = vwgt[v]
+        if pw[side] == w_v:
+            locked[v] = 1  # moving v would empty its side
             rejected += 1
             continue
-        dest_after = int(pwgts[other]) + w_v
+        dest_after = pw[other] + w_v
         # Balance gate: the move must keep the destination under its cap,
-        # unless it strictly reduces total overweight (repair move).
+        # unless it strictly reduces the current overweight key[0] (repair).
         if dest_after > maxpwgt[other]:
-            over_before = max(0, int(pwgts[0]) - maxpwgt[0]) + max(
-                0, int(pwgts[1]) - maxpwgt[1]
-            )
-            over_after = max(0, int(pwgts[side]) - w_v - maxpwgt[side]) + max(
+            over_after = max(0, pw[side] - w_v - maxpwgt[side]) + max(
                 0, dest_after - maxpwgt[other]
             )
-            if over_after >= over_before:
-                locked[v] = True  # unusable this pass
+            if over_after >= key[0]:
+                locked[v] = 1  # unusable this pass
                 rejected += 1
                 continue
 
         # Execute the move.
         tried += 1
-        where[v] = other
-        pwgts[side] -= w_v
-        pwgts[other] += w_v
+        where_s[v] = other
+        pw[side] -= w_v
+        pw[other] += w_v
         cut -= gain
-        ed[v], id_[v] = id_[v], ed[v]
-        locked[v] = True
+        ed_s[v], id_s[v] = id_s[v], ed_s[v]
+        locked[v] = 1
         moved.append(v)
 
-        # Vectorised neighbour degree update; under lazy gains the tables
-        # are only told about *new* boundary vertices (stale entries are
+        # Neighbour degree updates, in adjacency order.  Under lazy gains
+        # the tables only hear of *new* boundary vertices (stale entries are
         # corrected at pop time); under the 1995-style eager mode every
-        # unlocked neighbour's table entry is refreshed on the spot.
-        s, e = xadj[v], xadj[v + 1]
-        nbrs = adjncy[s:e]
-        w = adjwgt[s:e]
-        became_internal = where[nbrs] == other
-        delta = np.where(became_internal, -w, w)
-        was_interior = ed[nbrs] == 0
-        ed[nbrs] += delta
-        id_[nbrs] -= delta
-        # The gain/side/degree lookups for the touched neighbours are done
-        # as single fancy-indexing gathers (one NumPy call each) instead of
-        # per-vertex scalar indexing; only the unavoidable per-entry heap
-        # pushes remain as Python-level iteration, over plain ints.
-        if eager:
-            active = nbrs[~locked[nbrs]]
-            if len(active):
-                gains_a = (ed[active] - id_[active]).tolist()
-                eds_a = ed[active].tolist()
-                sides_a = where_arr[active].tolist()
-                for u, s_u, g_u, e_u in zip(
-                    active.tolist(), sides_a, gains_a, eds_a
-                ):
-                    table_u = tables[s_u]
-                    if u in table_u:
-                        table_u.update(u, g_u)
-                    elif not boundary_only or e_u > 0:
-                        table_u.push(u, g_u)
-        elif boundary_only:
-            fresh = nbrs[was_interior & (delta > 0) & ~locked[nbrs]]
-            if len(fresh):
-                gains_f = (ed[fresh] - id_[fresh]).tolist()
-                sides_f = where_arr[fresh].tolist()
-                for u, s_u, g_u in zip(fresh.tolist(), sides_f, gains_f):
-                    tables[s_u].push(u, g_u)
+        # unlocked neighbour's entry is refreshed right after its update.
+        for j in range(xadj[v], xadj[v + 1]):
+            u = adjncy[j]
+            delta = adjwgt[j]
+            if where_s[u] == other:
+                delta = -delta  # the edge to v is now internal for u
+            was_interior = ed_s[u] == 0
+            ed_s[u] += delta
+            id_s[u] -= delta
+            if locked[u]:
+                continue
+            if eager:
+                table_u = tables[where_s[u]]
+                if u in table_u:
+                    table_u.update(u, ed_s[u] - id_s[u])
+                elif not boundary_only or ed_s[u] > 0:
+                    table_u.push(u, ed_s[u] - id_s[u])
+            elif boundary_only and was_interior and delta > 0:
+                tables[where_s[u]].push(u, ed_s[u] - id_s[u])
 
-        key = _balance_key(pwgts, maxpwgt, cut)
+        key = _balance_key(pw, maxpwgt, cut)
         if key < best_key:
             best_key = key
             best_prefix = len(moved)
@@ -296,12 +289,13 @@ def fm_pass(
     # Undo the moves past the best prefix ("Since the last x vertex moves
     # did not decrease the edge-cut they are undone").
     for v in reversed(moved[best_prefix:]):
-        side = int(where[v])
+        side = where_s[v]
         other = 1 - side
-        w_v = int(vwgt[v])
-        where[v] = other
-        pwgts[side] -= w_v
-        pwgts[other] += w_v
+        w_v = vwgt[v]
+        where_s[v] = other
+        pw[side] -= w_v
+        pw[other] += w_v
+    pwgts[0], pwgts[1] = pw
 
     # Reconstruct the best-state cut: best_key[1] is exactly it.
     improvement = (start_key[0] - best_key[0]) + (start_key[1] - best_key[1])
@@ -386,8 +380,10 @@ def refine_bisection(
     pass_kernel = kernels.kernel("fm")
     fm_backend = kernels.backend("fm")
 
+    # One O(m) degree computation serves both BKLGR's switch and the first
+    # pass; later passes recompute them, since each pass leaves them stale.
+    ed, id_ = external_internal_degrees(graph, where)
     if policy is RefinePolicy.BKLGR:
-        ed, _ = external_internal_degrees(graph, where)
         boundary_count = int((ed > 0).sum())
         policy = (
             RefinePolicy.BKLR
@@ -414,12 +410,15 @@ def refine_bisection(
             cut,
             boundary_only=boundary_only,
             early_exit=x,
+            ed=ed,
+            id_=id_,
             stats=stats,
             eager=options.eager_gains,
             gain_table=options.gain_table,
             san=san or None,
             span=span,
         )
+        ed = id_ = None
         if improvement <= 0:
             break
 

@@ -10,8 +10,8 @@ kernels:
 
 ``loop``
     The bit-exact reference implementations in :mod:`repro.core` /
-    :mod:`repro.graph`: scalar-scan matching, the Python FM pass and the
-    single-sort contraction.  Always available, always the default, and
+    :mod:`repro.graph`: scalar-scan matching, the scalar-scan FM pass and
+    the single-sort contraction.  Always available, always the default, and
     the only backend whose output reproduces the paper's published runs
     bit-for-bit.
 ``vectorized``

@@ -260,6 +260,40 @@ class TestKeys:
         assert fields == keyed | resolved | non_determining
         assert set(cache_key_payload(DEFAULT_OPTIONS)) == keyed | resolved
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("workers", 2),
+            ("worker_timeout", 60.0),
+            ("worker_retries", 5),
+            ("trace", "trace.jsonl"),
+            ("sanitize", True),
+        ],
+    )
+    def test_non_determining_fields_keep_the_bits(self, field, value, tmp_path):
+        """A field the cache does not key on must not change the result:
+        partition and bisect return the same ``where`` as the defaults.
+        ``sanitize`` and ``trace`` reach into the FM pass (``san=``,
+        ``span=``), so this also pins that the pass never branches on them."""
+        from repro.core.multilevel import bisect
+        from repro.matrices import suite
+
+        if field == "trace":
+            value = str(tmp_path / value)
+        options = DEFAULT_OPTIONS.with_(**{field: value})
+        assert field not in CACHE_KEY_FIELDS
+        assert cache_key_payload(options) == cache_key_payload(DEFAULT_OPTIONS)
+        graph = suite.load("4ELT", scale=0.1, seed=3)
+
+        def wheres(opts):
+            return (
+                local_partition(graph, 4, opts).where,
+                bisect(graph, opts).bisection.where,
+            )
+
+        for got, want in zip(wheres(options), wheres(DEFAULT_OPTIONS)):
+            assert np.array_equal(got, want)
+
 
 # --------------------------------------------------------------------------
 # Request schema
