@@ -336,16 +336,13 @@ def _print_resilience(report) -> None:
 
 
 def _cmd_partition(args) -> int:
-    from repro.core import partition
+    from repro.core import partition, partition_refined
     from repro.graph import read_graph
 
     graph = read_graph(args.graph)
     options = _options_from(args)
-    result = partition(graph, args.nparts, options, np.random.default_rng(args.seed))
-    if args.kway_refine:
-        from repro.core import refine_kway
-
-        refine_kway(graph, result, options, np.random.default_rng(args.seed))
+    drive = partition_refined if args.kway_refine else partition
+    result = drive(graph, args.nparts, options, np.random.default_rng(args.seed))
     print(f"graph:    {args.graph} ({graph.nvtxs} vertices, {graph.nedges} edges)")
     print(f"nparts:   {args.nparts}")
     print(f"edge-cut: {result.cut}")

@@ -25,18 +25,17 @@ sites still forces sequential execution, with identical results.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.initial import split_at_weighted_median
 from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS
+from repro.core.run import Run
 from repro.graph.components import extract_subgraph
 from repro.graph.partition import KWayPartition, edge_cut, part_weights
-from repro.obs.tracer import NULL as NULL_TRACER
-from repro.obs.tracer import resolve_tracer
-from repro.resilience.deadline import DeadlineGuard
-from repro.resilience.faults import fault_injector, worker_faults_only
-from repro.resilience.report import ResilienceReport
+from repro.resilience.faults import worker_faults_only
 from repro.resilience.supervisor import (
     BranchSupervisor,
     resolve_worker_timeout,
@@ -48,7 +47,6 @@ from repro.utils.errors import (
     SpectralConvergenceError,
 )
 from repro.utils.rng import as_generator, spawn_child
-from repro.utils.timing import PhaseTimer
 
 
 def partition(
@@ -58,6 +56,7 @@ def partition(
     rng=None,
     *,
     bisector=None,
+    run=None,
 ) -> KWayPartition:
     """Partition ``graph`` into ``nparts`` parts of roughly equal weight.
 
@@ -70,11 +69,14 @@ def partition(
     options:
         Multilevel configuration used for every bisection.
     bisector:
-        Optional override: a callable ``(graph, options, rng, target0) →
-        MultilevelResult``-like object with a ``bisection`` attribute, a
-        ``timers`` :class:`PhaseTimer` and a ``resilience`` report (merged
-        into the run's).  The spectral baselines plug in here so Figures
-        1–4 compare k-way against k-way.
+        Optional override, called exactly like
+        :func:`~repro.core.multilevel.bisect` — ``bisector(graph, options,
+        rng, target0=…, run=run)`` — and returning an object with a
+        ``bisection`` and a ``timers`` :class:`PhaseTimer`.  The spectral
+        baselines plug in here so Figures 1–4 compare k-way against k-way.
+    run:
+        An outer call's :class:`~repro.core.run.Run` (else one is opened
+        from ``options``), shared with every bisection.
 
     Returns
     -------
@@ -98,52 +100,47 @@ def partition(
     depth = max(1, int(np.ceil(np.log2(nparts)))) if nparts > 1 else 1
     options = options.with_(ubfactor=float(options.ubfactor) ** (1.0 / depth))
     where = np.zeros(graph.nvtxs, dtype=np.int32)
-    timers = PhaseTimer()
-    faults = fault_injector(options)
-    report = ResilienceReport()
-    guard = None
-    if options.deadline is not None:
-        guard = DeadlineGuard(options.deadline, timer=timers)
-    trc, owned_trace = resolve_tracer(
-        None, options, run="partition",
+    with Run.entry(
+        run, options, "partition",
         nvtxs=graph.nvtxs, nedges=graph.nedges, nparts=nparts,
-    )
-    # Parallel fan-out needs picklable branch state: a caller-supplied
-    # bisector closure cannot be shipped to workers, and a fault spec
-    # naming in-process phase sites carries injector countdowns the
-    # workers could not share.  Everything else — tracer, deadline guard,
-    # worker-site faults — is handled by the supervisor in the parent.
-    # The RNG tree is identical either way, so sequential and parallel
-    # runs are bit-identical.
-    workers = resolve_workers(options)
-    parallel = (
-        workers > 1
-        and nparts > 1
-        and bisector is None
-        and worker_faults_only(faults)
-    )
-    try:
-        with trc.span("partition", nparts=nparts) as root:
+    ) as run:
+        run = replace(run, options=options)
+        # Parallel fan-out needs picklable branch state: a caller-supplied
+        # bisector closure cannot be shipped to workers, and a fault spec
+        # naming in-process phase sites carries injector countdowns the
+        # workers could not share.  Everything else — tracer, deadline
+        # guard, worker-site faults — is handled by the supervisor in the
+        # parent.  The RNG tree is identical either way, so sequential and
+        # parallel runs are bit-identical.
+        workers = resolve_workers(options)
+        parallel = (
+            workers > 1
+            and nparts > 1
+            and bisector is None
+            and worker_faults_only(run.faults)
+        )
+        if bisector is None:
+            bisector = bisect
+        with run.tracer.span("partition", nparts=nparts) as root:
             vmap = np.arange(graph.nvtxs, dtype=np.int64)
             if parallel:
                 with BranchSupervisor(
                     workers,
                     timeout=resolve_worker_timeout(options),
-                    guard=guard,
+                    guard=run.guard,
                     max_retries=options.worker_retries,
-                    report=report,
+                    report=run.report,
                     span=root,
-                    faults=faults,
+                    faults=run.faults,
                 ) as par:
-                    _recurse(graph, nparts, 0, where, vmap,
-                             options, rng, timers, bisector, faults, report,
-                             guard, trc, par=par)
+                    _recurse(graph, nparts, 0, where, vmap, rng, run,
+                             bisector, par=par)
                     for meta, branch in par.drain():
                         first_part, branch_vmap = meta
                         sub_where, totals, sub_report = branch
                         where[branch_vmap] = first_part + sub_where
                         for phase_name, seconds in totals.items():
-                            timers.add(phase_name, seconds)
+                            run.timers.add(phase_name, seconds)
                             if root:
                                 # Splice the worker-measured phase time
                                 # into the span tree so traced workers=N
@@ -152,11 +149,9 @@ def partition(
                                     "worker.phase", seconds,
                                     phase=phase_name,
                                 )
-                        report.merge(sub_report)
+                        run.report.merge(sub_report)
             else:
-                _recurse(graph, nparts, 0, where, vmap,
-                         options, rng, timers, bisector, faults, report,
-                         guard, trc)
+                _recurse(graph, nparts, 0, where, vmap, rng, run, bisector)
             result = KWayPartition(
                 where=where,
                 nparts=nparts,
@@ -165,47 +160,62 @@ def partition(
             )
             if root:
                 root.set(cut=int(result.cut))
-        result.timers = timers.totals()
-        result.resilience = report
+        result.timers = run.timers.totals()
+        result.resilience = run.report
         return result
-    finally:
-        if owned_trace:
-            trc.close()
 
 
-def _assign_by_weight(graph, k) -> np.ndarray:
+def _assign_by_weight(vwgt, k) -> np.ndarray:
     """Deadline-degraded k-way assignment: contiguous vertex-id ranges of
     roughly equal weight — O(n), no bisections, never fails."""
-    total = max(int(graph.total_vwgt()), 1)
-    cum = np.cumsum(graph.vwgt) - graph.vwgt  # exclusive prefix weights
+    total = max(int(vwgt.sum()), 1)
+    cum = np.cumsum(vwgt) - vwgt  # exclusive prefix weights
     part = (cum * k) // total
     return np.minimum(part, k - 1).astype(np.int32)
+
+
+def _settle(vwgt, k, first_part, where, vmap, run) -> bool:
+    """Assign parts ``first_part .. first_part+k-1`` to the ``vmap``
+    vertices (weights ``vwgt``) without a bisection when none is needed or
+    the run's deadline has expired; ``True`` when it did.  Needs no
+    subgraph, so a branch that settles is never extracted."""
+    if k == 1:
+        where[vmap] = first_part
+    elif k == len(vwgt):
+        # One vertex per part; no bisection needed (k = n base case).
+        where[vmap] = first_part + np.arange(k, dtype=np.int32)
+    elif run.guard is not None and run.guard.expired():
+        # Budget gone: finish this whole subtree with the cheap assignment.
+        where[vmap] = first_part + _assign_by_weight(vwgt, k)
+        run.report.record(
+            "degradation",
+            "kway",
+            f"deadline expired; weight-contiguous assignment of parts "
+            f"{first_part}..{first_part + k - 1}",
+        )
+    else:
+        return False
+    return True
 
 
 def _branch_job(graph, k, options, rng, *, guard=None):
     """Partition one recursion branch in a pool worker.
 
-    Runs the same ``_recurse`` with branch-local accumulators (parts are
-    numbered from 0; the parent offsets them when merging) and returns
-    everything the parent must fold back: the branch partition vector, the
-    phase-timer totals and the resilience events.  Tracing is explicitly
-    off (the parent owns the span tree and splices worker timings back as
-    synthetic spans).  ``guard`` is only passed by the supervisor's
-    sequential fallback, which runs this in the *parent* process under
-    the remaining deadline budget; pool submissions never carry one —
-    their time budget is enforced parent-side via future timeouts.
+    Runs the same ``_recurse`` under :meth:`Run.branch(options, guard)
+    <repro.core.run.Run.branch>`, numbering parts from 0 (the parent
+    offsets them when merging), and returns everything the parent must
+    fold back: the branch partition vector, the phase-timer totals and
+    the resilience events.
     """
     where = np.zeros(graph.nvtxs, dtype=np.int32)
-    timers = PhaseTimer()
-    report = ResilienceReport()
+    run = Run.branch(options, guard)
     _recurse(graph, k, 0, where, np.arange(graph.nvtxs, dtype=np.int64),
-             options, rng, timers, None, fault_injector(options), report,
-             guard, NULL_TRACER)
-    return where, timers.totals(), report
+             rng, run, bisect)
+    return where, run.timers.totals(), run.report
 
 
-def _recurse(graph, k, first_part, where, vmap, options, rng, timers, bisector,
-             faults, report, guard, trc=NULL_TRACER, *, par=None, depth=0):
+def _recurse(graph, k, first_part, where, vmap, rng, run, bisector, *,
+             par=None, depth=0):
     """Assign parts ``first_part .. first_part+k-1`` to ``graph``'s vertices.
 
     ``vmap`` maps this subgraph's vertices to the original graph; ``where``
@@ -214,33 +224,13 @@ def _recurse(graph, k, first_part, where, vmap, options, rng, timers, bisector,
     subtrees at ``depth >= par.fan_depth`` to supervised pool workers
     instead of recursing.
     """
-    if k == 1:
-        where[vmap] = first_part
+    if _settle(graph.vwgt, k, first_part, where, vmap, run):
         return
-    if k == graph.nvtxs:
-        # One vertex per part; no bisection needed (k = n base case).
-        where[vmap] = first_part + np.arange(k, dtype=np.int32)
-        return
-    if (
-        par is not None
-        and depth >= par.fan_depth
-        and (guard is None or not guard.expired())
-    ):
+    if par is not None and depth >= par.fan_depth:
         # Workers receive no guard object; their time budget is enforced
-        # parent-side by the supervisor's future timeouts.  An expired
-        # guard skips submission and falls through to cheap assignment.
-        par.submit(_branch_job, graph, k, options, rng,
+        # parent-side by the supervisor's future timeouts.
+        par.submit(_branch_job, graph, k, run.options, rng,
                    meta=(first_part, vmap))
-        return
-    if guard is not None and guard.expired():
-        # Budget gone: finish this whole subtree with the cheap assignment.
-        where[vmap] = first_part + _assign_by_weight(graph, k)
-        report.record(
-            "degradation",
-            "kway",
-            f"deadline expired; weight-contiguous assignment of parts "
-            f"{first_part}..{first_part + k - 1}",
-        )
         return
     k_left = (k + 1) // 2
     target0 = (graph.total_vwgt() * k_left) // k
@@ -252,27 +242,21 @@ def _recurse(graph, k, first_part, where, vmap, options, rng, timers, bisector,
     rng_left = spawn_child(rng)
     rng_right = spawn_child(rng)
     try:
-        if bisector is None:
-            result = bisect(graph, options, child_rng, target0=target0,
-                            faults=faults, report=report, guard=guard,
-                            tracer=trc)
-        else:
-            try:
-                result = bisector(graph, options, child_rng, target0)
-            except SpectralConvergenceError as exc:
-                report.record(
-                    "fallback",
-                    "kway",
-                    f"bisector failed ({exc}); multilevel bisection fallback",
-                )
-                result = bisect(graph, options, spawn_child(child_rng),
-                                target0=target0, faults=faults, report=report,
-                                guard=guard, tracer=trc)
-        timers.merge(result.timers)
-        report.merge(result.resilience)
+        try:
+            result = bisector(graph, run.options, child_rng,
+                              target0=target0, run=run)
+        except SpectralConvergenceError as exc:
+            run.report.record(
+                "fallback",
+                "kway",
+                f"bisector failed ({exc}); multilevel bisection fallback",
+            )
+            result = bisect(graph, run.options, spawn_child(child_rng),
+                            target0=target0, run=run)
+        run.timers.merge(result.timers)
         side = np.asarray(result.bisection.where).copy()
     except DeadlineExceededError as exc:
-        report.record(
+        run.report.record(
             "degradation",
             "kway",
             "deadline expired mid-bisection; continuing from "
@@ -301,15 +285,14 @@ def _recurse(graph, k, first_part, where, vmap, options, rng, timers, bisector,
     if len(left) == 0 or len(right) == 0:
         raise PartitionError("bisection produced an empty side")
 
-    sub_left, _ = extract_subgraph(graph, left)
-    sub_right, _ = extract_subgraph(graph, right)
-    with trc.span("kway.branch", side=0, k=k_left, nvtxs=len(left),
-                  depth=depth):
-        _recurse(sub_left, k_left, first_part, where, vmap[left],
-                 options, rng_left, timers, bisector, faults, report, guard,
-                 trc, par=par, depth=depth + 1)
-    with trc.span("kway.branch", side=1, k=k - k_left, nvtxs=len(right),
-                  depth=depth):
-        _recurse(sub_right, k - k_left, first_part + k_left, where,
-                 vmap[right], options, rng_right, timers, bisector, faults,
-                 report, guard, trc, par=par, depth=depth + 1)
+    halves = ((left, k_left, first_part, rng_left),
+              (right, k_right, first_part + k_left, rng_right))
+    for half, (ids, k_half, first, half_rng) in enumerate(halves):
+        half_vmap = vmap[ids]
+        with run.tracer.span("kway.branch", side=half, k=k_half,
+                             nvtxs=len(ids), depth=depth):
+            if not _settle(graph.vwgt[ids], k_half, first, where, half_vmap,
+                           run):
+                sub, _ = extract_subgraph(graph, ids)
+                _recurse(sub, k_half, first, where, half_vmap, half_rng, run,
+                         bisector, par=par, depth=depth + 1)

@@ -27,11 +27,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.sanitize import sanitizer
+from repro.core.kway import partition as _kway_partition
 from repro.core.options import DEFAULT_OPTIONS
-from repro.graph.partition import KWayPartition, edge_cut, part_weights
-from repro.kernels import kway_kernel, resolve_kernels
-from repro.obs.tracer import resolve_tracer
+from repro.core.run import Run
+from repro.graph.partition import (
+    KWayPartition,
+    boundary_mask,
+    edge_cut,
+    part_weights,
+)
+from repro.kernels import kway_kernel
 from repro.utils.rng import as_generator
 
 
@@ -109,7 +114,7 @@ def refine_kway(
     rng=None,
     *,
     max_passes: int = 8,
-    tracer=None,
+    run=None,
 ) -> KWayPartition:
     """Greedily refine a k-way partition in place; returns the same object.
 
@@ -123,10 +128,11 @@ def refine_kway(
     max_passes:
         Upper bound on boundary sweeps (each pass is monotone, so this is
         a safety cap, not a tuning knob).
-    tracer:
-        Optional threaded :class:`~repro.obs.tracer.Tracer`; default
-        resolves ``options.trace`` / ``REPRO_TRACE``.  Emits one
-        ``kway.pass`` event per boundary sweep.
+    run:
+        The :class:`~repro.core.run.Run` of an outer driver call
+        (:func:`partition_refined`); by default one is opened from
+        ``options``.  Its tracer receives one ``kway.pass`` event per
+        boundary sweep.
     """
     rng = as_generator(rng if rng is not None else options.seed)
     n = graph.nvtxs
@@ -138,20 +144,13 @@ def refine_kway(
     maxpwgt = int(np.ceil(options.ubfactor * graph.total_vwgt() / k))
     cut = partition.cut
 
-    # The sweep kernel is selected once per entry; the jitted backend is
-    # move-for-move identical to the Python sweep (same RNG consumption:
-    # one permutation per pass), so any backend yields the same partition.
-    kernels = resolve_kernels(options)
-    sweep = kway_kernel(kernels) or _python_sweep
-    fm_backend = kernels.backend("fm")
-
-    from repro.graph.partition import boundary_mask
-
-    trc, owned_trace = resolve_tracer(
-        tracer, options, run="kway-refine", nvtxs=n, nparts=k
-    )
-    try:
-        with trc.span("kway-refine", nparts=k, cut_in=int(cut)) as sp:
+    with Run.entry(run, options, "kway-refine", nvtxs=n, nparts=k) as run:
+        # The jitted sweep is move-for-move identical to the Python sweep
+        # (same RNG consumption: one permutation per pass), so any backend
+        # yields the same partition.
+        sweep = kway_kernel(run.kernels) or _python_sweep
+        fm_backend = run.kernels.backend("fm")
+        with run.tracer.span("kway-refine", nparts=k, cut_in=int(cut)) as sp:
             if sp:
                 sp.set(kernel=fm_backend if sweep is not _python_sweep else "loop")
             for _ in range(max_passes):
@@ -192,26 +191,23 @@ def refine_kway(
                     break
             if sp:
                 sp.set(cut_out=int(cut))
-    finally:
-        if owned_trace:
-            trc.close()
-
-    san = sanitizer(options)
-    if san:
-        san.check_kway(graph, where, pwgts, cut, k, phase="kway-refine")
+        if run.sanitizer:
+            run.sanitizer.check_kway(
+                graph, where, pwgts, cut, k, phase="kway-refine"
+            )
     partition.cut = edge_cut(graph, where)  # exact, guards vs drift
     partition.pwgts = part_weights(graph, where, k)
     return partition
 
 
 def partition_refined(graph, nparts, options=DEFAULT_OPTIONS, rng=None):
-    """Recursive bisection followed by direct k-way refinement.
-
-    Convenience wrapper used by the ablation bench comparing the paper's
-    pipeline with its stated future extension.
-    """
-    from repro.core.kway import partition as _partition
-
+    """Recursive bisection followed by direct k-way refinement, in one
+    :class:`~repro.core.run.Run` (the CLI's ``--kway-refine`` and the
+    service's ``kway_refine`` requests)."""
     rng = as_generator(rng if rng is not None else options.seed)
-    result = _partition(graph, nparts, options, rng)
-    return refine_kway(graph, result, options, rng)
+    with Run.open(
+        options, "partition-refined",
+        nvtxs=graph.nvtxs, nedges=graph.nedges, nparts=nparts,
+    ) as run:
+        result = _kway_partition(graph, nparts, options, rng, run=run)
+        return refine_kway(graph, result, options, rng, run=run)

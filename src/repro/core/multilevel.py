@@ -27,16 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.sanitize import sanitizer
 from repro.core.coarsen import CoarseningHierarchy, coarsen
 from repro.core.initial import initial_bisection
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme, RefinePolicy
 from repro.core.refine import PassStats, refine_bisection
+from repro.core.run import Run
 from repro.graph.partition import Bisection, part_weights
-from repro.kernels import resolve_kernels
-from repro.obs.tracer import resolve_tracer
-from repro.resilience.deadline import DeadlineGuard
-from repro.resilience.faults import fault_injector
 from repro.resilience.report import ResilienceReport
 from repro.utils.errors import PartitionError
 from repro.utils.rng import as_generator
@@ -98,59 +94,73 @@ _DEGRADE = {
 }
 
 
-def _effective_policy(policy, guard, faults, report, level):
+def _effective_policy(policy, run, level):
     """The refinement policy to run at ``level``, degraded when necessary."""
     degraded = _DEGRADE.get(policy)
     if degraded is None:
         return policy
-    if faults and faults.trip("refine"):
-        if report is not None:
-            report.record(
-                "degradation",
-                "refine",
-                f"injected pass-budget exhaustion: {policy.value} → "
-                f"{degraded.value}",
-                level=level,
-            )
+    if run.faults and run.faults.trip("refine"):
+        run.report.record(
+            "degradation",
+            "refine",
+            f"injected pass-budget exhaustion: {policy.value} → "
+            f"{degraded.value}",
+            level=level,
+        )
         return degraded
+    guard = run.guard
     if guard is not None and guard.nearing():
-        if report is not None:
-            report.record(
-                "degradation",
-                "refine",
-                f"deadline nearing ({guard.remaining():.3f}s of "
-                f"{guard.deadline:.3f}s left): {policy.value} → "
-                f"{degraded.value}",
-                level=level,
-            )
+        run.report.record(
+            "degradation",
+            "refine",
+            f"deadline nearing ({guard.remaining():.3f}s of "
+            f"{guard.deadline:.3f}s left): {policy.value} → "
+            f"{degraded.value}",
+            level=level,
+        )
         return degraded
     return policy
 
 
-def _checkpoint(guard, faults, report, hierarchy, bisection, level, phase):
-    """Deadline checkpoint at a phase boundary.
+def _checkpoint(run, hierarchy, level, phase, current=None):
+    """Deadline checkpoint at a level boundary of a multilevel loop.
 
-    When the guard has expired (or the ``deadline`` fault site forces it
-    to), the current coarse bisection — if any — is projected down to the
-    finest graph and attached to the raised
+    Once the run's guard has expired (or the ``deadline`` fault site
+    forces it to), ``current()`` — the bisection of level ``level`` as it
+    stands, ``None`` before one exists — is projected down to the finest
+    graph and attached to the raised
     :class:`~repro.utils.errors.DeadlineExceededError` as the best result
     so far, so callers can degrade instead of failing.
     """
+    guard = run.guard
     if guard is None:
         return
     # The fault site is consulted only once a bisection exists, so an
     # injected expiry always carries a usable best-so-far.
-    if bisection is not None and faults and faults.trip("deadline"):
+    if current is not None and run.faults and run.faults.trip("deadline"):
         guard.force_expire()
     if not guard.expired():
         return
     best = None
-    if bisection is not None:
-        where = np.asarray(bisection.where)
+    if current is not None:
+        where = np.asarray(current().where)
         for cmap in reversed(hierarchy.cmaps[:level]):
             where = where[cmap]
         best = Bisection.from_where(hierarchy.graphs[0], where)
-    guard.check(phase=phase, level=level, best=best, report=report)
+    guard.check(phase=phase, level=level, best=best, report=run.report)
+
+
+def _targets(graph, options, target0):
+    """``(target0, maxpwgt)`` of a bisection: part 0's target weight (half
+    the total by default) and both parts' caps, ``ubfactor ×`` the targets."""
+    total = graph.total_vwgt()
+    if target0 is None:
+        target0 = total // 2
+    if not (0 < target0 < total):
+        raise PartitionError(f"target0 must be in (0, {total}); got {target0}")
+    caps = (np.ceil(options.ubfactor * target0),
+            np.ceil(options.ubfactor * (total - target0)))
+    return target0, tuple(int(c) for c in caps)
 
 
 def _every_level(level, coarsest):
@@ -165,10 +175,7 @@ def bisect(
     *,
     target0=None,
     hierarchy: CoarseningHierarchy | None = None,
-    faults=None,
-    report=None,
-    guard=None,
-    tracer=None,
+    run=None,
 ) -> MultilevelResult:
     """Multilevel bisection of ``graph``.
 
@@ -185,26 +192,12 @@ def bisect(
         Pre-computed coarsening hierarchy to reuse (the matching-ablation
         bench coarsens once and tries several refinements); must have been
         built from ``graph``.
-    faults:
-        Fault injector to use; default resolves ``options.faults`` /
-        ``REPRO_FAULTS`` via
-        :func:`~repro.resilience.faults.fault_injector`.  Recursive drivers
-        (k-way, nested dissection) pass one shared injector so clause
-        counts span the whole run.
-    report:
-        :class:`~repro.resilience.report.ResilienceReport` to append to
-        (shared by recursive drivers); a fresh one is created otherwise and
-        attached to the result as ``result.resilience``.
-    guard:
-        :class:`~repro.resilience.deadline.DeadlineGuard` spanning an outer
-        run; when ``None`` and ``options.deadline`` is set, a guard is
-        armed here covering this bisection alone.
-    tracer:
-        :class:`~repro.obs.tracer.Tracer` threaded by an outer driver
-        (k-way, nested dissection) so the whole run forms one span tree;
-        default resolves ``options.trace`` / ``REPRO_TRACE`` via
-        :func:`~repro.obs.tracer.resolve_tracer` and closes the tracer it
-        opened when the bisection finishes.
+    run:
+        The :class:`~repro.core.run.Run` of an outer driver call (k-way,
+        nested dissection, a baseline), whose report, fault injector,
+        deadline guard, tracer, sanitizer and kernels this bisection
+        shares; by default one is opened from ``options`` for this
+        bisection alone (its report is ``result.resilience``).
 
     Returns
     -------
@@ -213,19 +206,18 @@ def bisect(
     Raises
     ------
     repro.utils.errors.DeadlineExceededError
-        When a deadline guard expires; ``exc.best`` carries the best
-        finest-graph bisection found before the budget ran out (or ``None``
-        if none existed yet) and ``exc.report`` the audit trail.
+        When the run's deadline guard expires; ``exc.best`` carries the
+        best finest-graph bisection found before the budget ran out (or
+        ``None`` if none existed yet) and ``exc.report`` the audit trail.
     """
     return _vcycle(
         graph, options, rng, _every_level, target0=target0,
-        hierarchy=hierarchy, faults=faults, report=report, guard=guard,
-        tracer=tracer,
+        hierarchy=hierarchy, run=run,
     )
 
 
 def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
-            faults=None, report=None, guard=None, tracer=None):
+            run=None):
     """The bisection V-cycle behind :func:`bisect` and Chaco-ML.
 
     Coarsens with ``options.matching``, bisects the coarsest graph with
@@ -240,50 +232,28 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
     rng = as_generator(rng if rng is not None else options.seed)
     timers = PhaseTimer()
     stats = PassStats()
-    if faults is None:
-        faults = fault_injector(options)
-    if report is None:
-        report = ResilienceReport()
-    if guard is None and options.deadline is not None:
-        guard = DeadlineGuard(options.deadline, timer=timers)
-    total = graph.total_vwgt()
-    if target0 is None:
-        target0 = total // 2
-    if not (0 < target0 < total):
-        raise PartitionError(
-            f"target0 must be in (0, {total}); got {target0}"
-        )
-    target1 = total - target0
-    maxpwgt = (
-        int(np.ceil(options.ubfactor * target0)),
-        int(np.ceil(options.ubfactor * target1)),
-    )
-
-    # One selection per driver entry: the env knob is read and the numba
-    # probe run here, never in the per-level hot paths.
-    kernels = resolve_kernels(options)
-
-    trc, owned_trace = resolve_tracer(
-        tracer, options, run="bisect", nvtxs=graph.nvtxs, nedges=graph.nedges
-    )
-    try:
+    target0, maxpwgt = _targets(graph, options, target0)
+    with Run.entry(
+        run, options, "bisect", timers=timers,
+        nvtxs=graph.nvtxs, nedges=graph.nedges,
+    ) as run:
+        trc, san, kernels = run.tracer, run.sanitizer, run.kernels
         # --- Phase 1: coarsening -------------------------------------
         if hierarchy is None:
             with timers.phase("CTime"), trc.span("coarsen", phase="CTime") as sp:
                 hierarchy = coarsen(
-                    graph, options, rng, faults=faults, report=report, span=sp,
-                    kernels=kernels,
+                    graph, options, rng, faults=run.faults, report=run.report,
+                    span=sp, kernels=kernels,
                 )
         coarsest_level = hierarchy.nlevels - 1
         coarsest = hierarchy.coarsest
-        _checkpoint(guard, faults, report, hierarchy, None, coarsest_level, "coarsen")
+        _checkpoint(run, hierarchy, coarsest_level, "coarsen")
 
         # --- Phase 2: initial partition ------------------------------
-        san = sanitizer(options)
         with timers.phase("ITime"), trc.span("initial", phase="ITime") as sp:
             bisection = initial_bisection(
                 coarsest, options, rng, target0,
-                faults=faults, report=report, span=sp,
+                faults=run.faults, report=run.report, span=sp,
             )
             if sp:
                 sp.set(
@@ -330,9 +300,7 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
                     refine_bisection(
                         level_graph,
                         bisection,
-                        _effective_policy(
-                            options.refinement, guard, faults, report, level
-                        ),
+                        _effective_policy(options.refinement, run, level),
                         options,
                         maxpwgt=maxpwgt,
                         original_nvtxs=graph.nvtxs,
@@ -341,8 +309,9 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
                         kernels=kernels,
                     )
             _checkpoint(
-                guard, faults, report, hierarchy, bisection, level,
+                run, hierarchy, level,
                 "initial" if level == coarsest_level else "refine",
+                lambda: bisection,
             )
 
         if trc:
@@ -358,9 +327,6 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
             coarsest_nvtxs=coarsest.nvtxs,
             initial_cut=initial_cut,
             stats=stats,
-            resilience=report,
+            resilience=run.report,
             kernels=kernels.as_dict(),
         )
-    finally:
-        if owned_trace:
-            trc.close()

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.initial import split_at_weighted_median
 from repro.core.kway import partition as _kway_partition
 from repro.core.multilevel import MultilevelResult
-from repro.core.refine import PassStats
 from repro.graph.partition import Bisection
 from repro.utils.errors import PartitionError
 from repro.utils.timing import PhaseTimer
@@ -74,7 +73,7 @@ def geometric_partition(graph, nparts, options=None, rng=None, *, inertial=True)
     options = options or DEFAULT_OPTIONS
     bisect_fn = inertial_bisection if inertial else coordinate_bisection
 
-    def bisector(g, opts, child_rng, target0):
+    def bisector(g, opts, child_rng, *, target0, run):
         timers = PhaseTimer()
         with timers.phase("ITime"):
             bisection = bisect_fn(g, target0)
@@ -84,7 +83,6 @@ def geometric_partition(graph, nparts, options=None, rng=None, *, inertial=True)
             nlevels=1,
             coarsest_nvtxs=g.nvtxs,
             initial_cut=bisection.cut,
-            stats=PassStats(),
         )
 
     return _kway_partition(graph, nparts, options, rng, bisector=bisector)

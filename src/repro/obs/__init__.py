@@ -39,7 +39,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     open_tracer,
-    resolve_tracer,
     trace_target,
     tracer_from,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "trace_target",
     "tracer_from",
     "open_tracer",
-    "resolve_tracer",
     "SCHEMA_VERSION",
     "RECORD_KINDS",
     "PHASE_KEYS",

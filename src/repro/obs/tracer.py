@@ -54,7 +54,6 @@ __all__ = [
     "trace_target",
     "tracer_from",
     "open_tracer",
-    "resolve_tracer",
 ]
 
 #: Environment variable holding the ambient trace target (path or ``-``).
@@ -375,16 +374,3 @@ def tracer_from(options=None, *, run: str = "run", **meta):
     if not target:
         return NULL
     return open_tracer(target, run=run, **meta)
-
-
-def resolve_tracer(given, options=None, *, run: str = "run", **meta):
-    """Resolve a driver entry's tracer: ``(tracer, owned)``.
-
-    ``given`` wins when a caller (a recursive driver) already threads one
-    through; otherwise the options/environment decide.  ``owned`` is True
-    exactly when this entry created a live tracer and must close it.
-    """
-    if given is not None:
-        return given, False
-    trc = tracer_from(options, run=run, **meta)
-    return trc, bool(trc)

@@ -24,18 +24,15 @@ from functools import partial
 
 import numpy as np
 
-from repro.analysis.sanitize import sanitizer
 from repro.core.multilevel import bisect as ml_bisect
 from repro.core.options import DEFAULT_OPTIONS
+from repro.core.run import Run
 from repro.graph.components import connected_components, extract_subgraph
-from repro.obs.tracer import NULL as NULL_TRACER
-from repro.obs.tracer import NULL_SPAN, resolve_tracer
+from repro.obs.tracer import NULL_SPAN
 from repro.ordering.base import Ordering
 from repro.ordering.mmd import mmd_ordering
 from repro.ordering.vertex_cover import vertex_separator_from_bisection
-from repro.resilience.deadline import DeadlineGuard
-from repro.resilience.faults import fault_injector, worker_faults_only
-from repro.resilience.report import ResilienceReport
+from repro.resilience.faults import worker_faults_only
 from repro.resilience.supervisor import (
     BranchSupervisor,
     resolve_worker_timeout,
@@ -57,78 +54,56 @@ def mlnd_ordering(
 
     Uses the multilevel bisector (HEM + GGGP + BKLGR by default) for the
     edge separator at every level and minimum vertex cover for the vertex
-    separator.  One fault injector, resilience report and deadline guard
-    span the whole dissection; the report lands in
-    ``ordering.meta["resilience"]``.
+    separator.  One :class:`~repro.core.run.Run` — fault injector,
+    resilience report, deadline guard and tracer — spans the whole
+    dissection; the report lands in ``ordering.meta["resilience"]``.
     """
     rng = as_generator(rng if rng is not None else options.seed)
-    faults = fault_injector(options)
-    report = ResilienceReport()
-    guard = None
-    if options.deadline is not None:
-        guard = DeadlineGuard(options.deadline)
-    trc, owned_trace = resolve_tracer(
-        None, options, run="mlnd", nvtxs=graph.nvtxs, nedges=graph.nedges
-    )
+    with Run.open(options, "mlnd", nvtxs=graph.nvtxs, nedges=graph.nedges) as run:
+        # MLND's bisector is reconstructible from picklable state (just
+        # the options), so its subtrees can run in supervised pool
+        # workers — same gating as k-way ``partition``: only a fault spec
+        # naming in-process phase sites forces sequential execution.
+        # Generic/SND dissections pass an arbitrary closure and always
+        # run sequentially.
+        branch_job = None
+        if worker_faults_only(run.faults):
+            branch_job = partial(
+                _mlnd_branch_job,
+                options=options,
+                leaf_size=leaf_size,
+                refine_separator=refine_separator,
+            )
+        return nested_dissection_ordering(
+            graph, _ml_bisector(options, run), rng, leaf_size=leaf_size,
+            method="mlnd", refine_separator=refine_separator, run=run,
+            branch_job=branch_job,
+        )
+
+
+def _ml_bisector(options, run):
+    """MLND's ``(subgraph, rng) → where`` bisector, sharing ``run``."""
 
     def bisector(subgraph, child_rng):
-        return ml_bisect(
-            subgraph, options, child_rng, faults=faults, report=report,
-            guard=guard, tracer=trc,
-        ).bisection.where
+        return ml_bisect(subgraph, options, child_rng, run=run).bisection.where
 
-    # MLND's bisector is reconstructible from picklable state (just the
-    # options), so its subtrees can run in supervised pool workers — same
-    # gating as k-way ``partition``: only a fault spec naming in-process
-    # phase sites forces sequential execution.  Generic/SND dissections
-    # pass an arbitrary closure and always run sequentially.
-    branch_job = None
-    if resolve_workers(options) > 1 and worker_faults_only(faults):
-        branch_job = partial(
-            _mlnd_branch_job,
-            options=options,
-            leaf_size=leaf_size,
-            refine_separator=refine_separator,
-        )
-
-    try:
-        return nested_dissection_ordering(
-            graph, bisector, rng, leaf_size=leaf_size, method="mlnd",
-            refine_separator=refine_separator, options=options, report=report,
-            guard=guard, tracer=trc, branch_job=branch_job, faults=faults,
-        )
-    finally:
-        if owned_trace:
-            trc.close()
+    return bisector
 
 
 def _mlnd_branch_job(sub, rng, *, options, leaf_size, refine_separator,
                      guard=None):
     """Dissect one MLND subtree in a pool worker.
 
-    Rebuilds the multilevel bisector from ``options`` and returns the
-    subtree's local permutation plus its resilience events for the parent
-    to merge.  Tracing is explicitly off (a pool worker must not resolve
-    the ambient trace target and race the parent for the sink).  ``guard``
-    is only passed by the supervisor's sequential fallback, which runs
-    this in the *parent* process under the remaining deadline budget;
-    pool submissions never carry one — their time budget is enforced
-    parent-side via future timeouts.
+    Rebuilds the multilevel bisector from ``options`` under
+    :meth:`Run.branch(options, guard) <repro.core.run.Run.branch>` and
+    returns the subtree's local permutation plus its resilience events
+    for the parent to merge.
     """
-    report = ResilienceReport()
-    faults = fault_injector(options)
-    san = sanitizer(options)
-
-    def bisector(subgraph, child_rng):
-        return ml_bisect(
-            subgraph, options, child_rng, faults=faults, report=report,
-            guard=guard, tracer=NULL_TRACER,
-        ).bisection.where
-
+    run = Run.branch(options, guard)
     perm = np.empty(sub.nvtxs, dtype=np.int64)
-    _dissect(sub, bisector, rng, perm, leaf_size, refine_separator,
-             san, report, guard, NULL_SPAN)
-    return perm, report
+    _dissect(sub, _ml_bisector(options, run), rng, perm, leaf_size,
+             refine_separator, run, NULL_SPAN)
+    return perm, run.report
 
 
 def nested_dissection_ordering(
@@ -139,12 +114,8 @@ def nested_dissection_ordering(
     leaf_size: int = 120,
     method: str = "nd",
     refine_separator: bool = True,
-    options=None,
-    report=None,
-    guard=None,
-    tracer=None,
+    run=None,
     branch_job=None,
-    faults=None,
 ) -> Ordering:
     """Generic nested-dissection driver.
 
@@ -158,26 +129,15 @@ def nested_dissection_ordering(
         Shrink each minimum-vertex-cover separator further with greedy
         node-FM refinement (see :mod:`repro.ordering.separator_refine`)
         before recursing — what the released METIS does.
-    options:
-        Only consulted for ``sanitize``: when set (or ``REPRO_SANITIZE=1``)
-        every separator is checked to actually separate its subgraph.
-    report:
-        Optional :class:`~repro.resilience.report.ResilienceReport`; a
-        fresh one is created otherwise.  Attached to the result as
-        ``ordering.meta["resilience"]``.  A subgraph whose bisector raises
-        a :class:`~repro.utils.errors.ReproError` is ordered with MMD
-        instead (recorded as a fallback); sanitizer failures still
-        propagate — they mean the pipeline is broken, not the input.
-    guard:
-        Optional :class:`~repro.resilience.deadline.DeadlineGuard`; once it
-        expires, every remaining subgraph is ordered with MMD (recorded as
-        a degradation) — dissection never raises on deadline.
-    tracer:
-        Optional threaded :class:`~repro.obs.tracer.Tracer` (default:
-        ``options.trace`` / ``REPRO_TRACE``).  The dissection runs inside
-        one ``dissect`` span carrying ``nd.separator`` / ``nd.fallback`` /
-        ``nd.degraded`` events, with each sub-bisection's phase spans
-        nested under it.
+    run:
+        The ordering entry's :class:`~repro.core.run.Run` (else one is
+        opened from the default options and the environment).  Its report
+        becomes ``ordering.meta["resilience"]``: a subgraph whose bisector
+        raises a :class:`~repro.utils.errors.ReproError` — or that is left
+        once the guard expires — is ordered with MMD instead (recorded;
+        dissection never raises on deadline, and sanitizer failures still
+        propagate).  Its sanitizer checks every separator, and its tracer
+        gets one ``dissect`` span with ``nd.*`` events.
     branch_job:
         Optional *picklable* callable ``(subgraph, rng) → (perm, report)``
         dissecting one subtree in a pool worker (it must also accept a
@@ -188,64 +148,52 @@ def nested_dissection_ordering(
         are bounded by ``worker_timeout`` and the remaining deadline
         budget, crashed or hung workers are retried and finally demoted
         to in-process execution.  Per-entry pre-spawned RNGs make the
-        permutation bit-identical to the sequential run.
-    faults:
-        Optional fault injector; the supervisor consults its ``worker_*``
-        sites at submission time.
+        permutation bit-identical to the sequential run.  The supervisor
+        consults the run's ``worker_*`` fault sites at submission time.
 
     Returns
     -------
     Ordering
     """
     rng = as_generator(rng)
-    san = sanitizer(options)
-    if report is None:
-        report = ResilienceReport()
     n = graph.nvtxs
     perm = np.empty(n, dtype=np.int64)
-    trc, owned_trace = resolve_tracer(tracer, options, run=method, nvtxs=n)
-    workers = resolve_workers(options)
-
-    try:
-        with trc.span("dissect", method=method) as sp:
-            if branch_job is not None and workers > 1:
-                with BranchSupervisor(
-                    workers,
-                    timeout=resolve_worker_timeout(options),
-                    guard=guard,
-                    max_retries=(
-                        2 if options is None else options.worker_retries
-                    ),
-                    report=report,
-                    span=sp,
-                    faults=faults,
-                ) as par:
-                    _dissect(
-                        graph, bisector, rng, perm, leaf_size,
-                        refine_separator, san, report, guard, sp,
-                        par=par, branch_job=branch_job,
-                    )
-                    for meta, branch in par.drain():
-                        vmap, lo, hi = meta
-                        sub_perm, sub_report = branch
-                        perm[lo:hi] = vmap[sub_perm]
-                        report.merge(sub_report)
-            else:
+    with Run.entry(
+        run, DEFAULT_OPTIONS, method, nvtxs=n, nedges=graph.nedges
+    ) as run, run.tracer.span("dissect", method=method) as sp:
+        workers = resolve_workers(run.options)
+        if branch_job is not None and workers > 1:
+            with BranchSupervisor(
+                workers,
+                timeout=resolve_worker_timeout(run.options),
+                guard=run.guard,
+                max_retries=run.options.worker_retries,
+                report=run.report,
+                span=sp,
+                faults=run.faults,
+            ) as par:
                 _dissect(
                     graph, bisector, rng, perm, leaf_size, refine_separator,
-                    san, report, guard, sp,
+                    run, sp, par=par, branch_job=branch_job,
                 )
-    finally:
-        if owned_trace:
-            trc.close()
+                for meta, branch in par.drain():
+                    vmap, lo, hi = meta
+                    sub_perm, sub_report = branch
+                    perm[lo:hi] = vmap[sub_perm]
+                    run.report.merge(sub_report)
+        else:
+            _dissect(
+                graph, bisector, rng, perm, leaf_size, refine_separator,
+                run, sp,
+            )
 
     ordering = Ordering.from_perm(perm, method)
-    ordering.meta["resilience"] = report
+    ordering.meta["resilience"] = run.report
     return ordering
 
 
-def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, san,
-             report, guard, sp, *, par=None, branch_job=None):
+def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
+             sp, *, par=None, branch_job=None):
     """The dissection loop of :func:`nested_dissection_ordering`.
 
     Fills ``perm`` in place; ``sp`` is the enclosing ``dissect`` span (or a
@@ -253,9 +201,11 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, san,
     generator, spawned by its parent *before* any sibling runs, so the
     result is invariant to processing order — which lets ``par`` ship
     whole subtrees at ``depth >= par.fan_depth`` to pool workers via
-    ``branch_job`` without changing a bit of the permutation.
+    ``branch_job`` without changing a bit of the permutation.  ``run``
+    supplies the sanitizer, the report and the deadline guard.
     """
     n = graph.nvtxs
+    san, report, guard = run.sanitizer, run.report, run.guard
     # Explicit stack of (subgraph, vmap, lo, hi, depth, rng) jobs;
     # positions [lo, hi) belong to the subgraph.  Avoids Python recursion
     # limits on deep dissections of path-like graphs.

@@ -12,10 +12,9 @@ far slower — every dissection level pays for Fiedler vectors of
 from __future__ import annotations
 
 from repro.core.options import DEFAULT_OPTIONS
+from repro.core.run import Run
 from repro.ordering.base import Ordering
 from repro.ordering.nested_dissection import nested_dissection_ordering
-from repro.resilience.deadline import DeadlineGuard
-from repro.resilience.faults import fault_injector
 from repro.spectral.bisection import spectral_bisection
 from repro.utils.rng import as_generator
 
@@ -34,15 +33,11 @@ def snd_ordering(
     never dies on a hard eigenproblem.
     """
     rng = as_generator(rng if rng is not None else options.seed)
-    faults = fault_injector(options)
-    guard = None
-    if options.deadline is not None:
-        guard = DeadlineGuard(options.deadline)
+    with Run.open(options, "snd", nvtxs=graph.nvtxs, nedges=graph.nedges) as run:
 
-    def bisector(subgraph, child_rng):
-        return spectral_bisection(subgraph, rng=child_rng, faults=faults).where
+        def bisector(subgraph, child_rng):
+            return spectral_bisection(subgraph, rng=child_rng, faults=run.faults).where
 
-    return nested_dissection_ordering(
-        graph, bisector, rng, leaf_size=leaf_size, method="snd",
-        options=options, guard=guard,
-    )
+        return nested_dissection_ordering(
+            graph, bisector, rng, leaf_size=leaf_size, method="snd", run=run,
+        )

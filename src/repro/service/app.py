@@ -41,10 +41,8 @@ import tempfile
 import threading
 import time
 
-import numpy as np
-
 from repro.core.kway import partition as kway_partition
-from repro.core.kway_refine import refine_kway
+from repro.core.kway_refine import partition_refined
 from repro.core.options import cache_key_payload
 from repro.obs.export import read_trace
 from repro.obs.schema import PHASE_KEYS
@@ -95,6 +93,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -246,11 +245,10 @@ class PartitionService:
             opts = options
             if trace_path is not None:
                 opts = opts.with_(trace=trace_path)
-            result = kway_partition(graph, nparts, opts)
             if kway:
-                refine_kway(
-                    graph, result, opts, np.random.default_rng(opts.seed)
-                )
+                result = partition_refined(graph, nparts, opts)
+            else:
+                result = kway_partition(graph, nparts, opts)
             return partition_response(graph, result, key=key)
 
         return options, job, key
@@ -503,7 +501,9 @@ async def _read_request(reader, max_body: int):
 
     Returns ``(method, path, headers, body, too_large)``; ``too_large``
     signals the caller to answer 413 and close without reading the body.
-    Malformed framing raises :class:`ServiceRequestError` (answered 400).
+    Malformed framing raises :class:`ServiceRequestError` (answered 400),
+    and any ``Transfer-Encoding`` one with status 501 before the body is
+    read: only ``Content-Length`` framing is served.
     """
     line = await _read_line(reader)
     if not line:
@@ -513,19 +513,27 @@ async def _read_request(reader, max_body: int):
         raise ServiceRequestError(f"malformed request line {line!r}")
     method, target, _version = parts
     headers = {}
+    lengths = set()
     while True:
         hline = await _read_line(reader)
         if hline in (b"\r\n", b"\n", b""):
             break
         name, sep, value = hline.decode("latin-1").partition(":")
         if sep:
-            headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise ServiceRequestError("malformed Content-Length") from None
-    if length < 0:
-        raise ServiceRequestError("negative Content-Length")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = value
+            if name == "content-length":
+                if not (value.isascii() and value.isdigit()):
+                    raise ServiceRequestError("malformed Content-Length")
+                lengths.add(int(value))
+    if "transfer-encoding" in headers:
+        raise ServiceRequestError(
+            "Transfer-Encoding is not supported; send Content-Length",
+            status=501,
+        )
+    if len(lengths) > 1:
+        raise ServiceRequestError("conflicting Content-Length headers")
+    length = lengths.pop() if lengths else 0
     if length > max_body:
         return method, target, headers, b"", True
     body = (
@@ -549,7 +557,8 @@ async def _handle_connection(service: PartitionService, reader, writer):
             except ServiceRequestError as exc:
                 payload = json.dumps({"error": str(exc)}).encode()
                 writer.write(
-                    _http_head(400, length=len(payload), keep_alive=False)
+                    _http_head(exc.status, length=len(payload),
+                               keep_alive=False)
                     + payload
                 )
                 await writer.drain()

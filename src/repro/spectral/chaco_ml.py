@@ -30,15 +30,18 @@ def _every_other_level(level, coarsest):
 
 
 def chaco_ml_bisect(
-    graph, options=DEFAULT_OPTIONS, rng=None, target0=None
+    graph, options=DEFAULT_OPTIONS, rng=None, *, target0=None, run=None
 ) -> MultilevelResult:
-    """Multilevel bisection with RM + SBP + KLR-every-other-level."""
+    """Multilevel bisection with RM + SBP + KLR-every-other-level; called
+    like :func:`~repro.core.multilevel.bisect`."""
     chaco_options = options.with_(
         matching=MatchingScheme.RM,
         initial=InitialScheme.SBP,
         refinement=RefinePolicy.KLR,
     )
-    return _vcycle(graph, chaco_options, rng, _every_other_level, target0=target0)
+    return _vcycle(
+        graph, chaco_options, rng, _every_other_level, target0=target0, run=run
+    )
 
 
 def chaco_ml_partition(graph, nparts, options=DEFAULT_OPTIONS, rng=None):

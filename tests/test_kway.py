@@ -106,7 +106,7 @@ class TestBasics:
 
         calls = []
 
-        def bisector(g, opts, rng, target0):
+        def bisector(g, opts, rng, *, target0, run):
             calls.append(g.nvtxs)
             where = np.zeros(g.nvtxs, dtype=np.int8)
             where[: g.nvtxs // 2] = 0

@@ -25,7 +25,6 @@ from repro.obs import (
     open_tracer,
     profile,
     read_trace,
-    resolve_tracer,
     trace_target,
     tracer_from,
     validate_record,
@@ -170,24 +169,40 @@ class TestNullObjects:
         assert trace_target(Opts()) == Opts.trace
 
     def test_resolve_given_wins_and_is_not_owned(self, tmp_path):
+        from repro.core.options import DEFAULT_OPTIONS
+        from repro.core.run import Run
+
         trc = open_tracer(str(tmp_path / "t.jsonl"), run="outer")
         try:
-            got, owned = resolve_tracer(trc, None, run="inner")
-            assert got is trc and owned is False
-            # A threaded NULL also wins: recursion must not re-resolve.
-            got, owned = resolve_tracer(NULL, None, run="inner")
-            assert got is NULL and owned is False
+            with Run.open(DEFAULT_OPTIONS, "inner", tracer=trc) as run:
+                assert run.tracer is trc and run.owns_tracer is False
+            # A given NULL also wins: a branch run must not re-resolve.
+            with Run.open(DEFAULT_OPTIONS, "inner", tracer=NULL) as run:
+                assert run.tracer is NULL and run.owns_tracer is False
+            # The run's exit left the given tracer open.
+            with trc.span("after"):
+                pass
         finally:
             trc.close()
+        spans = [r for r in read_trace(str(tmp_path / "t.jsonl"))
+                 if r["t"] == "span"]
+        assert [s["name"] for s in spans] == ["after"]
 
     def test_resolve_owns_what_it_opens(self, tmp_path, monkeypatch):
+        from repro.core.options import DEFAULT_OPTIONS
+        from repro.core.run import Run
+
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        got, owned = resolve_tracer(None, None, run="r")
-        assert got is NULL and owned is False
-        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
-        got, owned = resolve_tracer(None, None, run="r")
-        assert got and owned is True
-        got.close()
+        with Run.open(DEFAULT_OPTIONS, "r") as run:
+            assert run.tracer is NULL and run.owns_tracer is False
+        path = str(tmp_path / "t.jsonl")
+        monkeypatch.setenv("REPRO_TRACE", path)
+        with Run.open(DEFAULT_OPTIONS, "r") as run:
+            assert run.tracer and run.owns_tracer is True
+            run.tracer.counter("c", 1)
+        # Closing the run closed its tracer: the counters record landed.
+        kinds = [r["t"] for r in read_trace(path)]
+        assert kinds[0] == "meta" and "counters" in kinds
 
 
 # --------------------------------------------------------------------------

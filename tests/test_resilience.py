@@ -25,6 +25,7 @@ from repro.core.initial import initial_bisection, sbp_bisection
 from repro.core.kway import partition
 from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme, RefinePolicy
+from repro.core.run import Run
 from repro.graph import from_edge_list
 from repro.matrices import grid2d
 from repro.ordering import mlnd_ordering, snd_ordering
@@ -353,7 +354,7 @@ class TestDeadlineIntegration:
         clock = FakeClock(0.0)
         guard = DeadlineGuard(100.0, clock=clock)
         clock.t = 90.0  # inside the degradation window, never expires
-        result = bisect(g, DEFAULT_OPTIONS, guard=guard)
+        result = bisect(g, DEFAULT_OPTIONS, run=Run.branch(DEFAULT_OPTIONS, guard))
         assert_valid_bisection(g, result.bisection)
         degradations = [
             e for e in result.resilience if e.kind == "degradation"

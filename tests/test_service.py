@@ -272,11 +272,13 @@ class TestKeys:
     )
     def test_non_determining_fields_keep_the_bits(self, field, value, tmp_path):
         """A field the cache does not key on must not change the result:
-        partition and bisect return the same ``where`` as the defaults.
-        ``sanitize`` and ``trace`` reach into the FM pass (``san=``,
-        ``span=``), so this also pins that the pass never branches on them."""
+        partition, bisect, Chaco-ML and MSB return the same ``where`` as the
+        defaults.  ``sanitize`` and ``trace`` reach into the FM pass
+        (``san=``, ``span=``) and the baselines' shared run, so this also
+        pins that no phase branches on them."""
         from repro.core.multilevel import bisect
         from repro.matrices import suite
+        from repro.spectral import chaco_ml_partition, msb_partition
 
         if field == "trace":
             value = str(tmp_path / value)
@@ -289,6 +291,8 @@ class TestKeys:
             return (
                 local_partition(graph, 4, opts).where,
                 bisect(graph, opts).bisection.where,
+                chaco_ml_partition(graph, 4, opts).where,
+                msb_partition(graph, 4, opts).where,
             )
 
         for got, want in zip(wheres(options), wheres(DEFAULT_OPTIONS)):
@@ -471,12 +475,18 @@ class TestEndpoints:
         assert b"invalid JSON" in data
 
     def _raw_exchange(self, addr, data: bytes) -> bytes:
-        """Send raw bytes and read the reply until the server closes."""
+        """Send raw bytes and read the reply until the server closes.
+
+        A server that closes with request bytes still unread may reset
+        the connection after its reply; what arrived before counts."""
         with socket.create_connection(addr, timeout=30) as sock:
             sock.sendall(data)
             reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:
+                pass
         return reply
 
     def test_negative_content_length_is_400(self, server):
@@ -499,6 +509,52 @@ class TestEndpoints:
         )
         assert b"400" in reply.split(b"\r\n", 1)[0]
         assert b"too long" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    def test_chunked_body_gets_one_501(self, server):
+        """Only Content-Length framing is supported: a chunked body must
+        not be read as the next request and answered a second time."""
+        body = b'{"nparts": 2}'
+        reply = self._raw_exchange(
+            server.address,
+            b"POST /partition HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n",
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert b"Transfer-Encoding" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    def test_content_length_must_be_ascii_digits(self, server):
+        # int() would take the first two; "\xb2" (superscript two) is a
+        # str.isdigit() digit that is not ASCII.
+        for value in (b"+2", b"0_2", b"\xb2"):
+            reply = self._raw_exchange(
+                server.address,
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + value + b"\r\n\r\n{}",
+            )
+            assert reply.startswith(b"HTTP/1.1 400 "), value
+            assert b"malformed Content-Length" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    def test_conflicting_content_lengths_are_400(self, server):
+        reply = self._raw_exchange(
+            server.address,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 0\r\nContent-Length: 2\r\n\r\n{}",
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"conflicting Content-Length" in reply
+        # Repeats that agree frame the body the same way and are served.
+        reply = self._raw_exchange(
+            server.address,
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            b"Content-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
         assert _request(server.address, "GET", "/healthz")[0] == 200
 
     def test_cache_clear_endpoint(self, server):

@@ -218,14 +218,15 @@ class TestChacoML:
 
     def test_sbp_failure_falls_back_inside_the_vcycle(self, grid16):
         """A failed spectral split walks SBP → GGGP inside the bisection,
-        and k-way keeps that record instead of re-running a bisection."""
+        and k-way keeps that record instead of re-running a bisection;
+        one injector spans the k-way run, so the clause fires once."""
         options = DEFAULT_OPTIONS.with_(faults="lanczos")
         r = chaco_ml_bisect(grid16, options, np.random.default_rng(0))
         assert_valid_bisection(grid16, r.bisection)
         assert r.resilience.count(kind="fallback", phase="initial") == 1
         p = chaco_ml_partition(grid16, 4, options, np.random.default_rng(1))
         assert p.cut == edge_cut(grid16, p.where)
-        assert p.resilience.count(kind="fallback", phase="initial") == 3
+        assert p.resilience.count(kind="fallback", phase="initial") == 1
         assert p.resilience.count(phase="kway") == 0
 
     def test_trace_shows_rm_sbp_and_klr_every_other_level(self, tmp_path):
