@@ -15,8 +15,7 @@ suboptimal cut, not a crash.  This package is that tooling for
   :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.dataflow`)
   covering exact int64 weight arithmetic, RNG-seed threading, and
   process-pool worker purity.  Findings carry call-path traces and render
-  as text, JSON, or SARIF 2.1.0 with baseline suppression
-  (:mod:`repro.analysis.report`).  Run it with
+  as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.report`).  Run it with
   ``python -m repro.analysis`` / ``repro lint``.
 * **Runtime sanitizer** (:mod:`repro.analysis.sanitize`) — O(n + m)
   invariant checkers hooked into every phase boundary of the multilevel

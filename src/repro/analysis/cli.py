@@ -6,15 +6,11 @@ Invoked three ways, all equivalent:
 * ``repro lint [paths]`` (subcommand of the main CLI)
 * ``repro-lint [paths]`` (console script)
 
-Exit status: 0 when clean (modulo the baseline), 1 when new findings were
-reported, 2 on usage errors.  Findings print one per line as
+All three take the one flag set :func:`add_lint_arguments` declares.
+Exit status: 0 when clean, 1 when any
+finding was reported, 2 on usage errors.  Findings print one per line as
 ``path:line:col: RPxxx message``, with ``--json`` / ``--sarif`` switching
 to the machine-readable formats of :mod:`repro.analysis.report`.
-
-A checked-in ``lint-baseline.json`` (discovered by walking up from the
-first lint path, like ``PAPER.md``) suppresses accepted historical
-findings; ``--write-baseline`` regenerates it from the current findings
-and ``--no-baseline`` shows everything.
 """
 
 from __future__ import annotations
@@ -22,30 +18,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.analysis.engine import format_findings, lint_paths
 from repro.analysis.report import (
-    apply_baseline,
-    find_baseline,
     findings_to_json,
     findings_to_sarif,
     rules_markdown_table,
-    write_baseline,
 )
 from repro.analysis.rules import default_rules, rule_table
 
-__all__ = ["build_parser", "main", "run_lint"]
+__all__ = ["add_lint_arguments", "build_parser", "main", "run_lint"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "whole-program lint pass enforcing the repro codebase idioms "
-            "(RP001-RP018; see docs/ANALYSIS.md)"
-        ),
-    )
+def add_lint_arguments(parser) -> None:
+    """Declare the lint flags on ``parser``.
+
+    Used by ``repro-lint`` (:func:`build_parser`) and by the ``repro
+    lint`` subcommand, so the two take exactly the same flags.
+    """
     parser.add_argument(
         "paths",
         nargs="*",
@@ -83,31 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
         dest="as_sarif",
         help="emit findings as a SARIF 2.1.0 log",
     )
-    parser.add_argument(
-        "--baseline",
-        help="explicit baseline file (default: lint-baseline.json "
-        "discovered upward from the first path)",
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description=(
+            "whole-program lint pass enforcing the repro codebase idioms "
+            "(RP001-RP018; see docs/ANALYSIS.md)"
+        ),
     )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
+    add_lint_arguments(parser)
     return parser
-
-
-def _resolve_baseline(args):
-    if args.no_baseline:
-        return None
-    if args.baseline:
-        p = Path(args.baseline)
-        return p if p.is_file() or args.write_baseline else None
-    return find_baseline(args.paths[0]) if args.paths else None
 
 
 def run_lint(args) -> int:
@@ -131,26 +108,6 @@ def run_lint(args) -> int:
             return 2
         rules = [r for r in rules if r.id in wanted]
     findings = lint_paths(args.paths, rules=rules, paper=args.paper)
-
-    if args.write_baseline:
-        target = (
-            Path(args.baseline)
-            if args.baseline
-            else (find_baseline(args.paths[0]) if args.paths else None)
-        )
-        if target is None:
-            target = Path.cwd() / "lint-baseline.json"
-        write_baseline(findings, target)
-        print(
-            f"wrote {len(findings)} finding(s) to {target}", file=sys.stderr
-        )
-        return 0
-
-    baseline_path = _resolve_baseline(args)
-    baselined = []
-    if baseline_path is not None:
-        findings, baselined = apply_baseline(findings, baseline_path)
-
     if args.as_sarif:
         print(json.dumps(findings_to_sarif(findings), indent=2))
     elif args.as_json:
@@ -158,13 +115,11 @@ def run_lint(args) -> int:
     elif findings:
         print(format_findings(findings))
     if findings:
-        note = (
+        print(
             f"{len(findings)} finding(s); suppress deliberate exceptions "
-            "with '# repro: noqa[RPxxx]' plus a justification"
+            "with '# repro: noqa[RPxxx]' plus a justification",
+            file=sys.stderr,
         )
-        if baselined:
-            note += f" ({len(baselined)} baselined finding(s) hidden)"
-        print(note, file=sys.stderr)
         return 1
     return 0
 

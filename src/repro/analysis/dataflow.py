@@ -1083,10 +1083,10 @@ class KernelHygieneRule(ProjectRule):
     in traces and results.  Two import disciplines keep that true:
 
     * **backend modules are registry-private** — a module of a ``kernels``
-      package (``repro.kernels.vec_backend``, ``repro.kernels.numba_backend``)
-      may only be imported from inside that package.  An outside import
-      bypasses the probe/fallback logic, so an optional dependency error
-      surfaces as a crash instead of a recorded fallback;
+      package (``repro.kernels.numba_backend``) may only be imported from
+      inside that package.  An outside import bypasses the probe/fallback
+      logic, so an optional dependency error surfaces as a crash instead
+      of a recorded fallback;
     * **numba is imported lazily** — a module-level ``import numba``
       anywhere makes the whole tree unimportable on machines without the
       optional dependency.  Every numba import must sit inside a function
@@ -1150,7 +1150,7 @@ class KernelHygieneRule(ProjectRule):
                 yield from self._check_target(
                     ctx, module, node, base, inside_kernels
                 )
-                # ``from pkg.kernels import vec_backend`` imports the
+                # ``from pkg.kernels import numba_backend`` imports the
                 # backend module itself under a from-import spelling.
                 for alias in node.names:
                     dotted = f"{base}.{alias.name}" if base else alias.name

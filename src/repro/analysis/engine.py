@@ -15,8 +15,7 @@ Findings are filtered through the per-line suppression table
 (``# repro: noqa[RPxxx]`` — see :mod:`repro.analysis.suppress`), and
 rendered as ``path:line:col: RPxxx message`` — the shape editors and CI
 annotate.  The reporting layer (:mod:`repro.analysis.report`) adds JSON
-and SARIF 2.1.0 output plus baseline suppression on top of the same
-finding list.
+and SARIF 2.1.0 output on top of the same finding list.
 """
 
 from __future__ import annotations

@@ -1,19 +1,13 @@
-"""Reporting layer: JSON / SARIF 2.1.0 output, baselines, the rule table.
+"""Reporting layer: JSON / SARIF 2.1.0 output and the rule table.
 
-Three consumers of the same :class:`~repro.analysis.engine.Finding` list:
+Two machine-readable renderings of the same
+:class:`~repro.analysis.engine.Finding` list:
 
 * ``repro lint --json`` — a stable machine-readable array for scripts;
 * ``repro lint --sarif`` — SARIF 2.1.0, the interchange format CI code
   scanners ingest (GitHub code scanning renders findings inline on PRs);
   call-path traces become ``relatedLocations`` so the "how does a driver
-  reach this" witness survives into the UI;
-* the **baseline** — a checked-in suppression file
-  (``lint-baseline.json``) listing historical findings that are accepted
-  for now.  Entries are fingerprinted by ``(rule, relative path, stripped
-  source line text)`` rather than line numbers, so unrelated edits above
-  a baselined finding do not resurrect it.  CI fails only on findings
-  *not* in the baseline, which lets new rules land with existing debt
-  explicitly recorded instead of silently grandfathered.
+  reach this" witness survives into the UI.
 
 The SARIF writer is validated (in tests) against a vendored subset of the
 SARIF 2.1.0 schema by :func:`validate_sarif` — stdlib-only, because the
@@ -29,17 +23,8 @@ __all__ = [
     "findings_to_json",
     "findings_to_sarif",
     "validate_sarif",
-    "Baseline",
-    "find_baseline",
-    "apply_baseline",
-    "write_baseline",
     "rules_markdown_table",
-    "BASELINE_NAME",
 ]
-
-#: Canonical baseline file name, discovered by walking up from the lint
-#: target (the same discovery rule ``PAPER.md`` uses).
-BASELINE_NAME = "lint-baseline.json"
 
 _SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA_URI = (
@@ -283,115 +268,6 @@ def validate_sarif(doc) -> list:
     Returns a list of error strings — empty means valid.
     """
     return _validate(doc, SARIF_SUBSET_SCHEMA, SARIF_SUBSET_SCHEMA)
-
-
-# --------------------------------------------------------------------------
-# Baseline suppression
-
-
-class Baseline:
-    """A multiset of accepted findings, fingerprinted content-wise.
-
-    The fingerprint is ``(rule id, path relative to the baseline file's
-    directory, stripped source text of the flagged line)`` — stable under
-    line-number drift, invalidated the moment the flagged line itself
-    changes (which is when the finding deserves a fresh look).
-    """
-
-    def __init__(self, entries=(), root: Path | None = None):
-        self.root = Path(root) if root is not None else Path(".")
-        self._counts: dict[tuple, int] = {}
-        for e in entries:
-            key = (e["rule"], e["path"], e["line_text"])
-            self._counts[key] = self._counts.get(key, 0) + int(e.get("count", 1))
-
-    @classmethod
-    def load(cls, path) -> "Baseline":
-        path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return cls(data.get("findings", ()), root=path.parent)
-
-    def _key_for(self, finding) -> tuple:
-        path = Path(finding.path)
-        try:
-            rel = path.resolve().relative_to(self.root.resolve()).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            text = lines[finding.line - 1].strip() if finding.line <= len(lines) else ""
-        except OSError:
-            text = ""
-        return (finding.rule_id, rel, text)
-
-    def filter(self, findings):
-        """Split ``findings`` into (new, baselined) against this baseline."""
-        remaining = dict(self._counts)
-        new, baselined = [], []
-        for f in findings:
-            key = self._key_for(f)
-            if remaining.get(key, 0) > 0:
-                remaining[key] -= 1
-                baselined.append(f)
-            else:
-                new.append(f)
-        return new, baselined
-
-    @staticmethod
-    def entries_for(findings, root) -> list:
-        """Baseline entry rows for ``findings`` (for ``--write-baseline``)."""
-        root = Path(root).resolve()
-        counts: dict[tuple, int] = {}
-        for f in findings:
-            path = Path(f.path)
-            try:
-                rel = path.resolve().relative_to(root).as_posix()
-            except ValueError:
-                rel = path.as_posix()
-            try:
-                lines = path.read_text(encoding="utf-8").splitlines()
-                text = lines[f.line - 1].strip() if f.line <= len(lines) else ""
-            except OSError:
-                text = ""
-            key = (f.rule_id, rel, text)
-            counts[key] = counts.get(key, 0) + 1
-        return [
-            {"rule": rule, "path": rel, "line_text": text, "count": count}
-            for (rule, rel, text), count in sorted(counts.items())
-        ]
-
-
-def find_baseline(start) -> Path | None:
-    """Walk up from ``start`` looking for :data:`BASELINE_NAME`."""
-    cur = Path(start).resolve()
-    if cur.is_file():
-        cur = cur.parent
-    for candidate in (cur, *cur.parents):
-        p = candidate / BASELINE_NAME
-        if p.is_file():
-            return p
-    return None
-
-
-def apply_baseline(findings, baseline_path):
-    """(new, baselined) findings under the baseline at ``baseline_path``."""
-    baseline = Baseline.load(baseline_path)
-    return baseline.filter(findings)
-
-
-def write_baseline(findings, path) -> None:
-    """Write ``findings`` as the new baseline file at ``path``."""
-    path = Path(path)
-    doc = {
-        "comment": (
-            "Accepted historical lint findings. Entries are matched by "
-            "(rule, path, stripped line text); editing a flagged line "
-            "invalidates its entry. Regenerate with: repro lint "
-            "--write-baseline <paths>"
-        ),
-        "findings": Baseline.entries_for(findings, path.parent),
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------------

@@ -662,9 +662,9 @@ class CachedExpansionRule(Rule):
     (``graph.edge_sources()``), so rebuilding either one inline —
     ``np.diff(xadj)`` or ``np.repeat(arange(n), degrees)`` — inside the
     pipeline packages re-materialises an O(n)/O(m) array on every call of
-    a per-level routine.  That is exactly the allocation churn the
-    vectorized kernels removed (docs/PERFORMANCE.md); this rule keeps it
-    from creeping back.  Two checks, in ``core/`` modules only:
+    a per-level routine.  The caches removed that allocation churn
+    (docs/PERFORMANCE.md); this rule keeps it from creeping back.  Two
+    checks, in ``core/`` modules only:
 
     * ``np.diff(...)`` over an ``xadj``-ish operand — use
       ``graph.degrees()``;
@@ -684,8 +684,8 @@ class CachedExpansionRule(Rule):
         "Hot paths in `core/` must use the cached CSR expansions — "
         "`graph.degrees()` instead of `np.diff(xadj)`, "
         "`graph.edge_sources()` instead of a degree-array `np.repeat` — "
-        "to keep the allocation churn the vectorized kernels removed "
-        "from creeping back (docs/PERFORMANCE.md)."
+        "so the per-call O(n)/O(m) rebuilds the caches removed do not "
+        "creep back (docs/PERFORMANCE.md)."
     )
 
     def _xadjish(self, node) -> bool:

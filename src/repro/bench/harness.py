@@ -21,10 +21,10 @@ knobs the pytest benchmarks honour:
     docs/RESILIENCE.md under benchmark load.
 ``REPRO_BENCH_KERNELS``
     Kernel backend for every experiment: ``loop`` (bit-exact reference,
-    default), ``vectorized`` or ``numba`` — the ``options.kernels``
-    registry switch of docs/PERFORMANCE.md, with per-phase fallback when
-    a backend is unavailable.  The CI perf legs run the same table under
-    two values and gate on ``repro bench-diff``.
+    default) or ``numba`` — the ``options.kernels`` registry switch of
+    docs/PERFORMANCE.md; without numba installed, ``numba`` runs ``loop``.
+    CI's numba leg runs the same table under both values and gates on
+    ``repro bench-diff``.
 ``REPRO_BENCH_WORKERS``
     Process count for parallel recursive bisection (default 1 =
     sequential; bit-identical results either way).

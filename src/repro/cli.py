@@ -26,6 +26,8 @@ import numpy as np
 
 
 def _add_common_options(p):
+    from repro.kernels import BACKENDS
+
     p.add_argument("--seed", type=int, default=4242, help="RNG seed (default 4242)")
     p.add_argument(
         "--matching",
@@ -75,14 +77,12 @@ def _add_common_options(p):
     p.add_argument(
         "--kernels",
         default=None,
-        choices=["loop", "vectorized", "numba"],
+        choices=BACKENDS,
         help=(
             "kernel backend for the hot phases (matching, FM refinement, "
-            "contraction): 'loop' is the bit-exact reference, "
-            "'vectorized' the whole-array NumPy kernels, 'numba' the "
-            "optional jitted kernels with per-phase fallback "
-            "numba->vectorized->loop; overrides REPRO_KERNELS "
-            "(see docs/PERFORMANCE.md)"
+            "contraction): 'loop' is the bit-exact reference, 'numba' the "
+            "optional jitted kernels, which fall back to 'loop' without "
+            "numba; overrides REPRO_KERNELS (see docs/PERFORMANCE.md)"
         ),
     )
     p.add_argument(
@@ -122,6 +122,8 @@ def _add_common_options(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.cli import add_lint_arguments
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -168,38 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the whole-program lint pass (RP001-RP018, docs/ANALYSIS.md)",
     )
-    p.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    p.add_argument("--paper", help="explicit PAPER.md for the RP008 index")
-    p.add_argument("--select", help="comma-separated rule ids to run")
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    p.add_argument(
-        "--rules-md", action="store_true",
-        help="print the generated docs/ANALYSIS.md rule table and exit",
-    )
-    p.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as a JSON array",
-    )
-    p.add_argument(
-        "--sarif", action="store_true", dest="as_sarif",
-        help="emit findings as a SARIF 2.1.0 log",
-    )
-    p.add_argument(
-        "--baseline", help="explicit lint-baseline.json (default: discovered)"
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
+    add_lint_arguments(p)
 
     p = sub.add_parser(
         "trace", help="pretty-print the profile of a JSONL trace file"

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+from repro.kernels import BACKENDS
 from repro.utils.errors import ConfigurationError
 
 
@@ -93,14 +94,12 @@ class MultilevelOptions:
     kernels:
         Kernel backend for the three hot phases (matching, FM gain
         maintenance, contraction), dispatched through the
-        :mod:`repro.kernels` registry: ``"loop"`` (bit-exact reference),
-        ``"vectorized"`` (whole-array NumPy) or ``"numba"`` (optional
-        ``@njit`` kernels; falls back per phase along
-        ``numba → vectorized → loop`` when numba is absent or a phase
-        has no jitted implementation).  ``None`` (the default) defers to
-        the ``REPRO_KERNELS`` environment variable, then to ``"loop"``
-        everywhere.  The resolved per-phase selection lands in
-        ``MultilevelResult.kernels``.
+        :mod:`repro.kernels` registry: ``"loop"`` (bit-exact reference)
+        or ``"numba"`` (optional ``@njit`` kernels; falls back to
+        ``loop`` when numba is absent, and then returns ``loop``'s
+        bits).  ``None`` (the default) defers to the ``REPRO_KERNELS``
+        environment variable, then to ``"loop"`` everywhere.  The
+        resolved per-phase selection lands in ``MultilevelResult.kernels``.
     workers:
         Process count for fanning the independent subgraph branches of
         recursive bisection (:func:`repro.core.kway.partition`) and MLND
@@ -198,13 +197,9 @@ class MultilevelOptions:
             raise ConfigurationError("trial counts must be positive")
         if self.gain_table not in ("heap", "bucket"):
             raise ConfigurationError("gain_table must be 'heap' or 'bucket'")
-        if self.kernels is not None and self.kernels not in (
-            "loop",
-            "vectorized",
-            "numba",
-        ):
+        if self.kernels is not None and self.kernels not in BACKENDS:
             raise ConfigurationError(
-                "kernels must be 'loop', 'vectorized' or 'numba' when set"
+                f"kernels must be one of {', '.join(BACKENDS)} when set"
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be >= 1 when set")

@@ -13,8 +13,8 @@ and are preserved (and tested) here:
 The kernel is fully vectorised: it maps every directed edge through the
 coarse map, drops intra-multinode edges, sorts the remainder once on the
 fused key ``cu * ncoarse + cv`` and merges runs of equal keys with
-``np.add.reduceat`` — O(m log m) with NumPy constants.  It is the one
-contraction of the ``loop`` and ``vectorized`` kernel backends.
+``np.add.reduceat`` — O(m log m) with NumPy constants.  It is the
+``loop`` kernel backend's contraction.
 """
 
 from __future__ import annotations

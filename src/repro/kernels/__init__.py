@@ -1,12 +1,11 @@
 """Kernel backend registry for the three hot phases (docs/PERFORMANCE.md).
 
 The multilevel pipeline spends essentially all of its time in three
-kernels — matching proposal rounds (CTime), FM gain maintenance (RTime)
-and graph contraction (CTime) — and the engineering follow-ups to the
-source paper (arXiv:1012.0006, arXiv:0910.2004) show that these constant
-factors are where multilevel partitioners win or lose.  This package is
-a registry of named **backends**, each providing some subset of the phase
-kernels:
+kernels — matching (CTime), FM gain maintenance (RTime) and graph
+contraction (CTime) — and the engineering follow-ups to the source paper
+(arXiv:1012.0006, arXiv:0910.2004) show that these constant factors are
+where multilevel partitioners win or lose.  This package is a registry
+of named **backends**, each providing some subset of the phase kernels:
 
 ``loop``
     The bit-exact reference implementations in :mod:`repro.core` /
@@ -14,10 +13,6 @@ kernels:
     the single-sort contraction.  Always available, always the default, and
     the only backend whose output reproduces the paper's published runs
     bit-for-bit.
-``vectorized``
-    The whole-array NumPy batched proposal-round matching.  Same validity
-    oracles, different (still deterministic) tie-breaks; FM and
-    contraction fall back to ``loop``.
 ``numba``
     Optional ``@njit`` kernels for the FM inner loop (bucket gain
     arrays), matching, contraction and the k-way boundary sweep.
@@ -28,14 +23,15 @@ Selection is resolved **once per driver entry** by
 :func:`resolve_kernels`, with precedence ``options.kernels`` >
 ``REPRO_KERNELS`` > ``loop``; it is the only way to pick a kernel.  A
 backend that is unavailable — or that has no kernel for a phase — falls
-back along its declared chain (``numba`` → ``vectorized`` → ``loop``)
-*per phase*, and every fallback decision is recorded on the returned
+back along its declared chain (``numba`` → ``loop``) *per phase*, so
+``numba`` without numba installed runs ``loop`` everywhere and returns
+its bits.  Every fallback decision is recorded on the returned
 :class:`KernelSelection` so it can surface in ``repro.obs`` spans and in
 ``MultilevelResult.kernels``.
 
-Backend modules themselves (``repro.kernels.vec_backend``,
-``repro.kernels.numba_backend``) are implementation detail: the rest of
-``src/repro`` must reach them through this registry (enforced by RP017).
+The backend module itself (``repro.kernels.numba_backend``) is
+implementation detail: the rest of ``src/repro`` must reach it through
+this registry (enforced by RP017).
 """
 
 from __future__ import annotations
@@ -43,11 +39,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.kernels.vec_backend import (  # re-exported: the blessed entry
-    UNMATCHED,
-    segment_max,
-    vectorized_matching,
-)
 from repro.utils.errors import ConfigurationError
 
 __all__ = [
@@ -60,13 +51,15 @@ __all__ = [
     "kway_kernel",
     "numba_available",
     "register_backend",
-    "segment_max",
-    "vectorized_matching",
-    "UNMATCHED",
 ]
 
 #: The hot phases the registry dispatches.
 PHASES = ("matching", "fm", "contract")
+
+#: The built-in backend names: the values ``options.kernels`` and
+#: ``--kernels`` accept.  ``REPRO_KERNELS`` also takes any backend
+#: registered at runtime via :func:`register_backend`.
+BACKENDS = ("loop", "numba")
 
 #: Environment knob consulted when ``options.kernels`` is unset.
 ENV_VAR = "REPRO_KERNELS"
@@ -282,10 +275,6 @@ def _load_loop_contract():
     return contract
 
 
-def _load_vec_matching():
-    return vectorized_matching
-
-
 def _load_numba_matching():
     from repro.kernels import numba_backend
 
@@ -321,10 +310,6 @@ register_backend(
 )
 
 register_backend(
-    "vectorized", {"matching": _load_vec_matching}, fallback="loop"
-)
-
-register_backend(
     "numba",
     {
         "matching": _load_numba_matching,
@@ -333,9 +318,4 @@ register_backend(
         "kway": _load_numba_kway,
     },
     probe=numba_available,
-    fallback="vectorized",
 )
-
-#: The built-in backend names, in fallback order (extensions may register
-#: more at runtime via :func:`register_backend`).
-BACKENDS = ("loop", "vectorized", "numba")

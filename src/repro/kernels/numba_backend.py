@@ -4,10 +4,10 @@ Reached only through the :mod:`repro.kernels` registry (lint rule RP017),
 and **never** imports numba at module top level: :func:`available` is the
 capability probe, and each kernel function is compiled on first use by
 :func:`_kernel`.  When numba is absent this module still imports cleanly —
-the registry's fallback chain (``numba`` → ``vectorized`` → ``loop``)
-simply never loads the wrappers — and the undecorated kernel functions
-remain callable as plain Python, which is how the equivalence tests pin
-their semantics on machines without numba.
+the registry falls back to ``loop`` and never loads the wrappers — and
+the undecorated kernel functions remain callable as plain Python, which
+is how the equivalence tests pin their semantics on machines without
+numba.
 
 Four kernels:
 

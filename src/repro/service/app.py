@@ -419,7 +419,10 @@ class PartitionService:
         if raw_body:
             try:
                 body = json.loads(raw_body)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError, non-UTF-8 bytes
+                # (UnicodeDecodeError) and int literals past Python's
+                # digit limit; RecursionError covers deep nesting.
                 self._event("service.request", path=path, status=400)
                 return 400, {"error": f"invalid JSON body: {exc}"}, None
             if not isinstance(body, dict):

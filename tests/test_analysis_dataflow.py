@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.engine import format_findings
-from repro.analysis.report import apply_baseline, find_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -754,13 +753,10 @@ class TestPartWeightsRevertRegression:
 
 
 class TestShippedTreeWholeProgram:
-    def test_src_repro_clean_modulo_baseline(self):
+    def test_src_repro_clean(self):
         findings = lint_paths(
             [REPO_ROOT / "src" / "repro"], paper=REPO_ROOT / "PAPER.md"
         )
-        baseline = find_baseline(REPO_ROOT / "src" / "repro")
-        if baseline is not None:
-            findings, _ = apply_baseline(findings, baseline)
         assert findings == [], format_findings(findings)
 
     def test_tests_and_benchmarks_clean_for_determinism_rules(self):
@@ -769,7 +765,4 @@ class TestShippedTreeWholeProgram:
             paper=REPO_ROOT / "PAPER.md",
         )
         findings = [f for f in findings if f.rule_id in ("RP001", "RP014")]
-        baseline = find_baseline(REPO_ROOT / "tests")
-        if baseline is not None:
-            findings, _ = apply_baseline(findings, baseline)
         assert findings == [], format_findings(findings)

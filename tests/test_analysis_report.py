@@ -1,6 +1,6 @@
 """Tests for the lint reporting layer (``repro.analysis.report``):
-JSON output, SARIF 2.1.0 output + schema validation, baseline
-suppression, and the generated rule table."""
+JSON output, SARIF 2.1.0 output + schema validation, and the generated
+rule table."""
 
 import json
 from pathlib import Path
@@ -16,12 +16,6 @@ from repro.analysis import (
     validate_sarif,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.report import (
-    Baseline,
-    apply_baseline,
-    find_baseline,
-    write_baseline,
-)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,82 +99,6 @@ class TestSarif:
         jsonschema.validate(doc, SARIF_SUBSET_SCHEMA)
 
 
-class TestBaseline:
-    def _write_tree(self, tmp_path):
-        mod = tmp_path / "pkg" / "chatty.py"
-        mod.parent.mkdir()
-        mod.write_text("def report(cut):\n    print(cut)\n")
-        return mod
-
-    def test_write_then_filter_suppresses(self, tmp_path):
-        self._write_tree(tmp_path)
-        findings = lint_paths([tmp_path / "pkg"])
-        assert [f.rule_id for f in findings] == ["RP006"]
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(findings, baseline_path)
-        new, baselined = apply_baseline(findings, baseline_path)
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_line_drift_does_not_resurrect(self, tmp_path):
-        mod = self._write_tree(tmp_path)
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(lint_paths([tmp_path / "pkg"]), baseline_path)
-        # Insert lines above the finding: line number changes, text does not.
-        mod.write_text(
-            "import sys\n\n\ndef report(cut):\n    print(cut)\n"
-        )
-        findings = lint_paths([tmp_path / "pkg"])
-        new, baselined = apply_baseline(findings, baseline_path)
-        assert new == []
-        assert len(baselined) == 1
-
-    def test_editing_flagged_line_invalidates_entry(self, tmp_path):
-        mod = self._write_tree(tmp_path)
-        baseline_path = tmp_path / "lint-baseline.json"
-        write_baseline(lint_paths([tmp_path / "pkg"]), baseline_path)
-        mod.write_text("def report(cut):\n    print(cut, flush=True)\n")
-        findings = lint_paths([tmp_path / "pkg"])
-        new, _ = apply_baseline(findings, baseline_path)
-        assert [f.rule_id for f in new] == ["RP006"]
-
-    def test_count_is_a_multiset(self, tmp_path):
-        mod = tmp_path / "pkg" / "chatty.py"
-        mod.parent.mkdir()
-        # Two identical print lines -> one fingerprint with count 2.
-        mod.write_text(
-            "def report(cut):\n    print(cut)\n    print(cut)\n"
-        )
-        baseline_path = tmp_path / "lint-baseline.json"
-        findings = lint_paths([tmp_path / "pkg"])
-        assert len(findings) == 2
-        write_baseline(findings, baseline_path)
-        rows = json.loads(baseline_path.read_text())["findings"]
-        assert len(rows) == 1 and rows[0]["count"] == 2
-        # A third identical violation exceeds the budget and is new.
-        mod.write_text(
-            "def report(cut):\n"
-            "    print(cut)\n"
-            "    print(cut)\n"
-            "    print(cut)\n"
-        )
-        new, baselined = apply_baseline(
-            lint_paths([tmp_path / "pkg"]), baseline_path
-        )
-        assert len(new) == 1 and len(baselined) == 2
-
-    def test_find_baseline_walks_up(self, tmp_path):
-        (tmp_path / "lint-baseline.json").write_text('{"findings": []}')
-        deep = tmp_path / "a" / "b"
-        deep.mkdir(parents=True)
-        assert find_baseline(deep) == tmp_path / "lint-baseline.json"
-        assert find_baseline("/nonexistent-root-for-test") is None or True
-
-    def test_shipped_baseline_loads(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert isinstance(baseline, Baseline)
-
-
 class TestCliFormats:
     def _fixture(self, tmp_path):
         mod = tmp_path / "pkg" / "chatty.py"
@@ -200,30 +118,6 @@ class TestCliFormats:
         doc = json.loads(capsys.readouterr().out)
         assert validate_sarif(doc) == []
         assert doc["runs"][0]["results"][0]["ruleId"] == "RP006"
-
-    def test_write_baseline_then_clean_exit(self, tmp_path, capsys):
-        pkg = self._fixture(tmp_path)
-        baseline = tmp_path / "lint-baseline.json"
-        code = lint_main(
-            [str(pkg), "--baseline", str(baseline), "--write-baseline"]
-        )
-        assert code == 0 and baseline.is_file()
-        # Baselined finding no longer fails the run...
-        assert lint_main([str(pkg), "--baseline", str(baseline)]) == 0
-        # ...unless the baseline is ignored.
-        capsys.readouterr()
-        code = lint_main([str(pkg), "--no-baseline"])
-        assert code == 1
-        assert "RP006" in capsys.readouterr().out
-
-    def test_baseline_discovered_upward(self, tmp_path, capsys):
-        pkg = self._fixture(tmp_path)
-        assert lint_main([str(pkg), "--write-baseline",
-                          "--baseline", str(tmp_path / "lint-baseline.json")]) == 0
-        # No --baseline flag: discovery walks up from pkg/ to tmp_path.
-        assert lint_main([str(pkg)]) == 0
-        err = capsys.readouterr().err
-        assert "baselined" not in err or "hidden" in err
 
     def test_rules_md_flag(self, capsys):
         assert lint_main(["--rules-md"]) == 0

@@ -12,9 +12,12 @@ Three layers of guarantees, from strongest to weakest:
   (RM matching, the bucket-array FM pass) must still satisfy the same
   oracles: valid maximal matchings, exact cut accounting, balance.
 
-The cross-backend sweep runs the full pipeline over a slice of the
-:mod:`repro.matrices` suite with the sanitizer active for every backend, so
-phase-boundary invariants are checked under each dispatch path.
+The differential sweep checks all three on hypothesis-drawn graphs with
+the ``numba`` probe forced on, so its kernels run as plain Python on
+hosts without numba and jitted where it is installed.  The cross-backend
+sweep runs the full pipeline over a slice of the :mod:`repro.matrices`
+suite with the sanitizer active for every available backend.  Without
+numba, ``kernels="numba"`` is ``loop`` bit for bit.
 """
 
 import hashlib
@@ -23,6 +26,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.kernels as kernels_mod
 from repro.core.kway import partition
@@ -35,8 +40,9 @@ from repro.core.matching import (
 from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.core.refine import fm_pass
-from repro.graph.contract import contract
-from repro.graph.partition import edge_cut
+from repro.graph.contract import coarse_map_from_matching, contract
+from repro.graph.csr import CSRGraph
+from repro.graph.partition import edge_cut, part_weights
 from repro.kernels import (
     PHASES,
     KernelSelection,
@@ -45,12 +51,14 @@ from repro.kernels import (
     register_backend,
     resolve_kernels,
 )
-from repro.kernels import numba_backend, vec_backend
+from repro.kernels import numba_backend
 from repro.matrices import load
 from repro.matrices.mesh2d import grid2d
 from repro.matrices.mesh3d import fe_tet3d
 from repro.obs import read_trace
+from repro.ordering import mlnd_ordering
 from repro.utils.errors import ConfigurationError
+from tests.test_properties import graphs
 
 
 def _where_hash(where):
@@ -76,6 +84,32 @@ def clean_registry(monkeypatch):
     yield
 
 
+def _force_numba_probe(available):
+    """Re-register ``numba`` with its import probe pinned to ``available``."""
+    backend = kernels_mod._BACKENDS["numba"]
+    register_backend(
+        "numba", backend.loaders,
+        probe=lambda: available, fallback=backend.fallback,
+    )
+
+
+@pytest.fixture
+def numba_off(clean_registry):
+    """``numba`` behaves as on a host without numba, wherever tests run."""
+    _force_numba_probe(False)
+
+
+@pytest.fixture
+def numba_on(clean_registry):
+    """``numba`` is selected even without numba: its kernels then run as
+    plain Python, and jitted where numba is installed."""
+    _force_numba_probe(True)
+
+
+def _numba_selection():
+    return resolve_kernels(DEFAULT_OPTIONS.with_(kernels="numba"), env={})
+
+
 class TestResolution:
     """Backend selection: precedence, fallback chains, errors."""
 
@@ -89,41 +123,28 @@ class TestResolution:
             "contract": "loop",
         }
 
-    def test_env_knob_selects_backend(self):
-        sel = resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
-        assert sel.requested == "vectorized"
-        assert sel.backend("matching") == "vectorized"
-        # vectorized has no contraction of its own: loop's is the only one.
-        assert sel.backend("contract") == "loop"
-        fallbacks = sel.as_dict()["fallbacks"]
-        assert fallbacks["contract"] == "vectorized has no contract kernel"
-
-    def test_options_beat_env(self):
-        options = DEFAULT_OPTIONS.with_(kernels="loop")
-        sel = resolve_kernels(options, env={"REPRO_KERNELS": "vectorized"})
-        assert sel.requested == "loop"
-        assert sel.backend("matching") == "loop"
-
-    def test_vectorized_falls_back_to_loop_for_fm(self):
-        sel = resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
-        assert sel.backend("fm") == "loop"
-        fallbacks = sel.as_dict().get("fallbacks", {})
-        assert "fm" in fallbacks
-
-    def test_numba_unavailable_degrades_transparently(self):
-        if numba_available():
-            pytest.skip("numba installed: the degradation path is inert")
+    def test_env_knob_selects_backend(self, numba_off):
         sel = resolve_kernels(None, env={"REPRO_KERNELS": "numba"})
         assert sel.requested == "numba"
-        # numba → vectorized for matching, → loop for fm and contract.
-        assert sel.backend("matching") == "vectorized"
-        assert sel.backend("contract") == "loop"
-        assert sel.backend("fm") == "loop"
-        fallbacks = sel.as_dict()["fallbacks"]
-        assert set(fallbacks) == set(PHASES)
-        for reason in fallbacks.values():
-            assert "unavailable" in reason
-        assert "vectorized has no contract kernel" in fallbacks["contract"]
+        assert sel.backend("matching") == "loop"
+        assert sel.as_dict()["fallbacks"]["matching"] == "numba unavailable"
+
+    def test_options_beat_env(self, numba_off):
+        options = DEFAULT_OPTIONS.with_(kernels="loop")
+        sel = resolve_kernels(options, env={"REPRO_KERNELS": "numba"})
+        assert sel.requested == "loop"
+        assert sel.backend("matching") == "loop"
+        assert "fallbacks" not in sel.as_dict()
+
+    def test_numba_unavailable_degrades_transparently(self, numba_off):
+        sel = resolve_kernels(None, env={"REPRO_KERNELS": "numba"})
+        assert sel.requested == "numba"
+        # numba falls back straight to loop, for every phase.
+        assert sel.as_dict() == {
+            "requested": "numba", "matching": "loop", "fm": "loop",
+            "contract": "loop",
+            "fallbacks": {phase: "numba unavailable" for phase in PHASES},
+        }
 
     def test_numba_selected_when_available(self):
         if not numba_available():
@@ -141,8 +162,6 @@ class TestResolution:
 
     def test_kway_kernel_only_for_numba(self):
         assert kway_kernel(resolve_kernels(None, env={})) is None
-        sel = resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
-        assert kway_kernel(sel) is None
         numba_sel = resolve_kernels(None, env={"REPRO_KERNELS": "numba"})
         if numba_available():
             assert kway_kernel(numba_sel) is not None
@@ -246,7 +265,7 @@ class TestLoopGolden:
 
 
 def _backends_under_test():
-    backends = ["loop", "vectorized"]
+    backends = ["loop"]
     if numba_available():
         backends.append("numba")
     return backends
@@ -293,12 +312,139 @@ class TestCrossBackendSweep:
             assert a.bisection.cut == b.bisection.cut, backend
             assert np.array_equal(a.bisection.where, b.bisection.where), backend
 
-    def test_env_knob_reaches_pipeline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "vectorized")
+    def test_env_knob_reaches_pipeline(self, monkeypatch, numba_off):
+        monkeypatch.setenv("REPRO_KERNELS", "numba")
         g = grid2d(24, 24)
         r = bisect(g, DEFAULT_OPTIONS, np.random.default_rng(5))
-        assert r.kernels["requested"] == "vectorized"
-        assert r.kernels["matching"] == "vectorized"
+        assert r.kernels["requested"] == "numba"
+        assert r.kernels["matching"] == "loop"
+
+
+class TestNumbaWithoutNumbaIsLoop:
+    """Without numba, ``kernels="numba"`` runs ``loop`` for every phase and
+    returns its bits; the probe is forced off so this holds on any host."""
+
+    @pytest.fixture
+    def graph(self):
+        return load("4ELT", scale=0.25)
+
+    def _both(self, drive):
+        loop = drive(DEFAULT_OPTIONS.with_(kernels="loop"))
+        numba = drive(DEFAULT_OPTIONS.with_(kernels="numba"))
+        return loop, numba
+
+    def test_bisect(self, graph, numba_off):
+        loop, numba = self._both(
+            lambda o: bisect(graph, o, np.random.default_rng(1))
+        )
+        assert _where_hash(numba.bisection.where) == _where_hash(
+            loop.bisection.where
+        )
+        assert numba.kernels == {
+            "requested": "numba", "matching": "loop", "fm": "loop",
+            "contract": "loop",
+            "fallbacks": {phase: "numba unavailable" for phase in PHASES},
+        }
+
+    def test_partition(self, graph, numba_off):
+        loop, numba = self._both(
+            lambda o: partition(graph, 8, o, np.random.default_rng(1))
+        )
+        assert numba.cut == loop.cut
+        assert _where_hash(numba.where) == _where_hash(loop.where)
+
+    def test_mlnd_ordering(self, graph, numba_off):
+        loop, numba = self._both(
+            lambda o: mlnd_ordering(graph, o, np.random.default_rng(1))
+        )
+        assert _where_hash(numba.perm) == _where_hash(loop.perm)
+
+    def test_vectorized_is_not_a_backend(self):
+        with pytest.raises(ConfigurationError):
+            DEFAULT_OPTIONS.with_(kernels="vectorized")
+        with pytest.raises(ConfigurationError):
+            resolve_kernels(None, env={"REPRO_KERNELS": "vectorized"})
+
+
+#: Drawn graphs are small (n <= 40), so the plain-Python kernels stay fast.
+_SWEEP = settings(max_examples=200, deadline=None)
+
+
+@pytest.mark.usefixtures("numba_on")
+class TestNumbaDifferential:
+    """The ``numba`` backend's kernels against ``loop`` on drawn graphs."""
+
+    def test_probe_forced_on_selects_numba(self):
+        sel = _numba_selection()
+        assert [sel.backend(phase) for phase in PHASES] == ["numba"] * 3
+        assert kway_kernel(sel) is not None
+
+    @_SWEEP
+    @given(graphs(max_n=40, weighted=True), st.booleans(), st.integers(0, 99))
+    def test_matching_and_contraction_bit_identical(self, g, coarse, seed):
+        loop, numba = resolve_kernels(None, env={}), _numba_selection()
+        cewgt = None
+        if coarse:  # a coarse level: vertex weights above 1, cewgt for HCM
+            rng = np.random.default_rng(seed)
+            vwgt = rng.integers(1, 5, g.nvtxs)
+            g = CSRGraph(g.xadj, g.adjncy, g.adjwgt, vwgt)
+            cewgt = rng.integers(0, 30, g.nvtxs)
+        for scheme in (
+            MatchingScheme.HEM, MatchingScheme.LEM, MatchingScheme.HCM
+        ):
+            ref = loop.kernel("matching")(
+                g, scheme, np.random.default_rng(seed), cewgt
+            )
+            got = numba.kernel("matching")(
+                g, scheme, np.random.default_rng(seed), cewgt
+            )
+            assert np.array_equal(ref, got), scheme
+            cmap, ncoarse = coarse_map_from_matching(ref)
+            assert _graphs_identical(
+                loop.kernel("contract")(g, cmap, ncoarse),
+                numba.kernel("contract")(g, cmap, ncoarse),
+            )
+
+    @_SWEEP
+    @given(
+        graphs(min_n=4, max_n=40, weighted=True),
+        st.integers(2, 8),
+        st.sampled_from([1.0, 1.05, 1.5]),
+        st.integers(0, 99),
+    )
+    def test_kway_sweep_move_for_move(self, g, k, ubfactor, seed):
+        rng = np.random.default_rng(seed)
+        where_py = rng.integers(0, k, g.nvtxs).astype(np.int32)
+        where_nb = where_py.copy()
+        pwgts_py = part_weights(g, where_py, k)
+        pwgts_nb = pwgts_py.copy()
+        maxpwgt = int(np.ceil(ubfactor * g.total_vwgt() / k))
+        order = rng.permutation(g.nvtxs)
+        sweep = kway_kernel(_numba_selection())
+        ref = _python_sweep(g, where_py, pwgts_py, maxpwgt, k, order)
+        got = sweep(g, where_nb, pwgts_nb, maxpwgt, k, order)
+        assert ref == got
+        assert np.array_equal(where_py, where_nb)
+        assert np.array_equal(pwgts_py, pwgts_nb)
+
+    @_SWEEP
+    @given(
+        graphs(min_n=4, max_n=40, weighted=True),
+        st.sampled_from(list(MatchingScheme)),
+        st.integers(2, 4),
+        st.integers(0, 99),
+    )
+    def test_pipeline_exact_under_sanitizer(self, g, scheme, k, seed):
+        # coarsen_to=4 so the drawn graphs are coarsened at all.
+        options = DEFAULT_OPTIONS.with_(
+            kernels="numba", matching=scheme, coarsen_to=4, sanitize=True
+        )
+        r = bisect(g, options, np.random.default_rng(seed))
+        assert r.kernels["fm"] == "numba"
+        r.bisection.verify(g)  # cut and part weights recounted exactly
+        p = partition(g, k, options, np.random.default_rng(seed))
+        assert p.cut == edge_cut(g, p.where)
+        assert np.array_equal(p.pwgts, part_weights(g, p.where, k))
 
 
 class TestContractBackends:
@@ -352,15 +498,6 @@ class TestMatchingBackends:
             )
             assert is_valid_matching(g, nb)
             assert is_maximal_matching(g, nb)
-
-    def test_vectorized_valid_and_maximal(self):
-        for g in self.GRAPHS:
-            for scheme in MatchingScheme:
-                m = vec_backend.vectorized_matching(
-                    g, scheme, np.random.default_rng(1)
-                )
-                assert is_valid_matching(g, m)
-                assert is_maximal_matching(g, m)
 
     def test_compute_matching_accepts_numba_impl(self):
         g = grid2d(10, 10)
@@ -464,28 +601,28 @@ class TestResultMetadata:
             "contract": "loop",
         }
 
-    def test_result_records_fallbacks(self):
-        options = DEFAULT_OPTIONS.with_(kernels="vectorized")
+    def test_result_records_fallbacks(self, numba_off):
+        options = DEFAULT_OPTIONS.with_(kernels="numba")
         r = bisect(grid2d(16, 16), options, np.random.default_rng(0))
-        assert r.kernels["requested"] == "vectorized"
-        assert r.kernels["matching"] == "vectorized"
+        assert r.kernels["requested"] == "numba"
+        assert r.kernels["matching"] == "loop"
         assert r.kernels["fm"] == "loop"
         assert "fm" in r.kernels["fallbacks"]
 
-    def test_spans_carry_kernel_fields(self, tmp_path):
+    def test_spans_carry_kernel_fields(self, tmp_path, numba_off):
         trace = str(tmp_path / "trace.jsonl")
-        options = DEFAULT_OPTIONS.with_(kernels="vectorized", trace=trace)
+        options = DEFAULT_OPTIONS.with_(kernels="numba", trace=trace)
         bisect(grid2d(16, 16), options, np.random.default_rng(0))
         spans = [r for r in read_trace(trace) if r["t"] == "span"]
         coarsen_spans = [s for s in spans if s["name"] == "coarsen"]
         refine_spans = [s for s in spans if s["name"] == "refine"]
         assert coarsen_spans and refine_spans
         for s in coarsen_spans:
-            assert s["fields"]["matching_kernel"] == "vectorized"
+            assert s["fields"]["matching_kernel"] == "loop"
             assert s["fields"]["contract_kernel"] == "loop"
             assert "fm" in s["fields"]["kernel_fallbacks"]
         for s in refine_spans:
-            assert s["fields"]["kernel"] == "loop"  # vectorized has no fm
+            assert s["fields"]["kernel"] == "loop"
 
 
 @pytest.mark.perf

@@ -236,8 +236,8 @@ class TestKeys:
     def test_cache_key_payload_resolves_kernel_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         assert cache_key_payload(DEFAULT_OPTIONS)["kernels"] is None
-        monkeypatch.setenv("REPRO_KERNELS", "vectorized")
-        assert cache_key_payload(DEFAULT_OPTIONS)["kernels"] == "vectorized"
+        monkeypatch.setenv("REPRO_KERNELS", "numba")
+        assert cache_key_payload(DEFAULT_OPTIONS)["kernels"] == "numba"
         explicit = cache_key_payload(DEFAULT_OPTIONS.with_(kernels="loop"))
         assert explicit["kernels"] == "loop"
 
@@ -452,6 +452,9 @@ class TestEndpoints:
             ("POST", "/partition",
              {"graph": g, "nparts": 2, "options": {"bogus": 1}}, 400),
             ("POST", "/partition",
+             {"graph": g, "nparts": 2, "options": {"kernels": "vectorized"}},
+             400),
+            ("POST", "/partition",
              {"graph": {"xadj": [0, 5], "adjncy": [1]}, "nparts": 1}, 400),
             ("POST", "/partition",
              {"workload": {"name": "NOPE"}, "nparts": 2}, 404),
@@ -488,6 +491,25 @@ class TestEndpoints:
             except ConnectionResetError:
                 pass
         return reply
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe{",  # not UTF-8: UnicodeDecodeError
+            b"[" * 100_000 + b"]" * 100_000,  # RecursionError
+            b"1" * 5_001,  # past the int-digit limit: ValueError
+        ],
+        ids=["non-utf8", "deep-nesting", "huge-int"],
+    )
+    def test_undecodable_json_body_is_400(self, server, raw):
+        reply = self._raw_exchange(
+            server.address,
+            b"POST /partition HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            + f"Content-Length: {len(raw)}\r\n\r\n".encode() + raw,
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+        assert b"invalid JSON body" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
 
     def test_negative_content_length_is_400(self, server):
         reply = self._raw_exchange(
