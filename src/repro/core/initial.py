@@ -21,6 +21,8 @@ graphs are handled by re-seeding growth in an untouched component.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import numpy as np
 
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme
@@ -82,45 +84,47 @@ def gggp_bisection(graph, target0=None, rng=None, trials=5) -> Bisection:
     total = graph.total_vwgt()
     if target0 is None:
         target0 = total // 2
-    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
+    xadj, adjncy = memoryview(graph.xadj), memoryview(graph.adjncy)
+    adjwgt, vwgt = memoryview(graph.adjwgt), memoryview(graph.vwgt)
 
     # gain[v] = (edge weight from v into the region) − (edge weight to the
-    # rest): moving the max-gain frontier vertex grows the region with the
-    # least increase in cut.  The coarsest graph is tiny (≲ a few hundred
-    # vertices), so a dense argmax over the frontier beats heap upkeep.
+    # rest): absorbing the max-gain frontier vertex grows the region with
+    # the least increase in cut.  The frontier is a lazy max-heap keyed
+    # (−gain, v), so a pop yields the lowest index among the maximal gains,
+    # as argmax would.  Edge weights are positive, so gains only rise: a
+    # vertex's newest entry outranks its older ones, and an entry popped
+    # after it finds the vertex in the region and is dropped.
     # Accumulate in int64 (bincount's float64 weights round past 2**53).
     wdeg = np.zeros(n, dtype=np.int64)
-    np.add.at(wdeg, graph.edge_sources(), adjwgt)
-    neg_inf = np.iinfo(np.int64).min
+    np.add.at(wdeg, graph.edge_sources(), graph.adjwgt)
+    neg_wdeg = (-wdeg).tolist()
 
     best = None
     for _ in range(trials):
-        where = np.ones(n, dtype=np.int8)
         in_region = np.zeros(n, dtype=bool)
-        frontier = np.zeros(n, dtype=bool)
-        gain = -wdeg.copy()
+        region = memoryview(in_region)
+        gain = neg_wdeg.copy()
+        heap: list[tuple[int, int]] = []
         pwgt0 = 0
         while pwgt0 < target0 and pwgt0 < total:
-            if frontier.any():
-                masked = np.where(frontier, gain, neg_inf)
-                v = int(np.argmax(masked))
+            while heap:
+                v = heappop(heap)[1]
+                if not region[v]:
+                    break
             else:  # frontier empty: seed a fresh component
                 candidates = np.flatnonzero(~in_region)
                 v = int(candidates[rng.integers(len(candidates))])
-            if pwgt0 + int(vwgt[v]) >= total:
+            if pwgt0 + vwgt[v] >= total:
                 break  # absorbing v would empty part 1
-            in_region[v] = True
-            frontier[v] = False
-            where[v] = 0
-            pwgt0 += int(vwgt[v])
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            w = adjwgt[xadj[v] : xadj[v + 1]]
-            outside = ~in_region[nbrs]
-            touched = nbrs[outside]
-            # Each edge into the region flips external→internal: +2w.
-            np.add.at(gain, touched, 2 * w[outside])
-            frontier[touched] = True
-        cand = _grown_bisection(graph, where)
+            region[v] = True
+            pwgt0 += vwgt[v]
+            for e in range(xadj[v], xadj[v + 1]):
+                u = adjncy[e]
+                if not region[u]:
+                    # Each edge into the region flips external→internal: +2w.
+                    gain[u] += 2 * adjwgt[e]
+                    heappush(heap, (-gain[u], u))
+        cand = _grown_bisection(graph, (~in_region).astype(np.int8))
         if best is None or cand.cut < best.cut:
             best = cand
     return best

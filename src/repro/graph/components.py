@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, INDEX_DTYPE
+from repro.graph.csr import CSRGraph
 
 
 def connected_components(graph) -> np.ndarray:
@@ -19,29 +19,27 @@ def connected_components(graph) -> np.ndarray:
 
     Returns an int32 array ``comp`` with ``comp[v]`` in ``[0, ncomp)``;
     component ids are assigned in order of discovery (lowest vertex id
-    first).  Iterative BFS — no recursion-depth hazards on path graphs.
+    first), so the traversal order inside a component cannot change a
+    label.  Iterative DFS over memoryviews — no recursion-depth hazards on
+    path graphs, and no NumPy call per vertex.
     """
     n = graph.nvtxs
-    comp = np.full(n, -1, dtype=np.int32)
-    xadj, adjncy = graph.xadj, graph.adjncy
+    xadj, adjncy = memoryview(graph.xadj), memoryview(graph.adjncy)
+    comp = [-1] * n
     current = 0
-    stack = np.empty(n, dtype=np.int64)
     for root in range(n):
         if comp[root] != -1:
             continue
         comp[root] = current
-        stack[0] = root
-        top = 1
-        while top:
-            top -= 1
-            v = stack[top]
+        stack = [root]
+        while stack:
+            v = stack.pop()
             for u in adjncy[xadj[v] : xadj[v + 1]]:
                 if comp[u] == -1:
                     comp[u] = current
-                    stack[top] = u
-                    top += 1
+                    stack.append(u)
         current += 1
-    return comp
+    return np.array(comp, dtype=np.int32)
 
 
 def num_components(graph) -> int:
@@ -76,39 +74,31 @@ def extract_subgraph(graph, vertices):
         sliced through.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    n = graph.nvtxs
-    local = np.full(n, -1, dtype=np.int64)
-    local[vertices] = np.arange(len(vertices), dtype=np.int64)
+    nsub = len(vertices)
+    local = np.full(graph.nvtxs, -1, dtype=np.int64)
+    local[vertices] = np.arange(nsub, dtype=np.int64)
 
-    xadj, adjncy, adjwgt = graph.xadj, graph.adjncy, graph.adjwgt
-    # Gather each kept vertex's adjacency, keeping only in-subgraph targets.
-    sub_xadj = np.zeros(len(vertices) + 1, dtype=np.int64)
-    chunks_n = []
-    chunks_w = []
-    for i, v in enumerate(vertices):
-        s, e = xadj[v], xadj[v + 1]
-        nbrs = local[adjncy[s:e]]
-        keep = nbrs >= 0
-        chunks_n.append(nbrs[keep])
-        chunks_w.append(adjwgt[s:e][keep])
-        sub_xadj[i + 1] = sub_xadj[i] + int(keep.sum())
-    sub_adjncy = (
-        np.concatenate(chunks_n).astype(INDEX_DTYPE)
-        if chunks_n
-        else np.empty(0, dtype=INDEX_DTYPE)
+    # One gather over the kept vertices' adjacency runs, in the given
+    # order; ``row[s]`` is the subgraph vertex that owns gathered slot s.
+    starts = graph.xadj[vertices]
+    lens = graph.xadj[vertices + 1] - starts
+    row = np.repeat(np.arange(nsub, dtype=np.int64), lens)
+    slots = np.arange(len(row), dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens
     )
-    sub_adjwgt = (
-        np.concatenate(chunks_w) if chunks_w else np.empty(0, dtype=np.int64)
-    )
+    nbrs = local[graph.adjncy[slots]]
+    keep = nbrs >= 0  # only in-subgraph targets survive
+    sub_xadj = np.zeros(nsub + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=nsub), out=sub_xadj[1:])
     sub = CSRGraph(
         sub_xadj,
-        sub_adjncy,
-        sub_adjwgt,
-        graph.vwgt[vertices].copy(),
+        nbrs[keep],
+        graph.adjwgt[slots[keep]],
+        graph.vwgt[vertices],
         validate=False,
     )
     if graph.coords is not None:
-        sub.coords = graph.coords[vertices].copy()
+        sub.coords = graph.coords[vertices]
     return sub, vertices
 
 

@@ -46,18 +46,16 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
     if n == 0:
         return Ordering.identity(0, "mmd")
 
-    adj_vars: list[set] = [
-        set(int(u) for u in graph.neighbors(v)) for v in range(n)
-    ]
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    adj_vars: list[set] = [set(adjncy[xadj[v] : xadj[v + 1]]) for v in range(n)]
     adj_elems: list[set] = [set() for _ in range(n)]
     elem_vars: dict[int, set] = {}
-    weight = np.ones(n, dtype=np.int64)  # ndarray: fancy-indexed degree sums
+    weight = [1] * n  # supervariable sizes
     members: list[list[int]] = [[v] for v in range(n)]
     alive = [True] * n  # still a supervariable representative
     eliminated = [False] * n
 
-    degree = [int(weight[list(adj_vars[v])].sum()) if adj_vars[v] else 0
-              for v in range(n)]
+    degree = [len(adj_vars[v]) for v in range(n)]  # every weight is 1
 
     # Degree buckets (dict of sets) with a moving minimum pointer.
     buckets: dict[int, set] = {}
@@ -120,7 +118,7 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
                     del buckets[degree[v]]
             order.append(v)
             round_eliminated.append(v)
-            remaining -= int(weight[v])
+            remaining -= weight[v]
             touched |= rv
 
         # --- batched degree update + supervariable detection ----------
@@ -157,7 +155,7 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
                 continue
             sig[key] = u
             r = reach(u)
-            new_d = int(weight[list(r)].sum()) if r else 0
+            new_d = sum(map(weight.__getitem__, r))
             bucket_move(u, degree[u], new_d)
             degree[u] = new_d
 

@@ -334,7 +334,10 @@ class BranchSupervisor:
         while True:
             if job.demoted:
                 return self._run_sequential(job)
-            if self._broken or job.future is None:
+            # A branch dispatched before the pool broke is charged through
+            # its future below, like any crash; only undispatched ones
+            # (and those of a torn-down pool) wait for the rebuild.
+            if job.future is None:
                 if not self._rebuild():
                     # The fresh pool broke before every branch was even
                     # resubmitted; charge the awaited branch so the

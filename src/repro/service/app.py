@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -663,14 +664,22 @@ async def serve_async(service: PartitionService, host: str = "127.0.0.1",
 def serve(host: str = "127.0.0.1", port: int = 8157, **config) -> None:
     """Blocking entry point: build a :class:`PartitionService` and serve.
 
-    ``config`` forwards to :class:`PartitionService`.  Returns when the
-    event loop is interrupted (Ctrl-C).
+    ``config`` forwards to :class:`PartitionService`.  Returns after
+    SIGINT or SIGTERM, once the job pool is drained and the trace closed.
+    The handlers replace an inherited SIG_IGN, which a job started with
+    ``&`` by a non-interactive shell has for SIGINT.
     """
     service = PartitionService(**config)
+
+    async def main():
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
+        await serve_async(service, host, port, stop=stop)
+
     try:
-        asyncio.run(serve_async(service, host, port))
-    except KeyboardInterrupt:
-        pass
+        asyncio.run(main())
     finally:
         service.close()
 

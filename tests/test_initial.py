@@ -1,9 +1,21 @@
-"""Tests for the initial-partitioning algorithms (§3.2)."""
+"""Tests for the initial-partitioning algorithms (§3.2).
+
+:func:`repro.core.initial.gggp_bisection` walks each absorbed vertex's
+adjacency as Python scalars and takes the next vertex from a lazy max-heap.
+``_reference_gggp_bisection`` below keeps the dense-argmax formulation it
+replaced; a hypothesis sweep asserts the two are bit-identical (RNG
+consumption included), and a ``perf``-marked test that the heap is faster.
+"""
+
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.initial import (
+    _grown_bisection,
     ggp_bisection,
     gggp_bisection,
     initial_bisection,
@@ -11,8 +23,10 @@ from repro.core.initial import (
     split_at_weighted_median,
 )
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme
-from repro.graph import from_edge_list
+from repro.graph import CSRGraph, from_edge_list
+from repro.matrices import grid2d
 from repro.utils.errors import PartitionError
+from repro.utils.rng import as_generator
 from tests.conftest import (
     assert_valid_bisection,
     dumbbell_graph,
@@ -20,6 +34,77 @@ from tests.conftest import (
     random_graph,
     two_triangles,
 )
+from tests.test_properties import graphs
+
+
+def _reference_gggp_bisection(graph, target0=None, rng=None, trials=5):
+    """A whole-array masked ``argmax`` over the frontier per absorbed vertex."""
+    rng = as_generator(rng)
+    n = graph.nvtxs
+    if n < 2:
+        raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
+    total = graph.total_vwgt()
+    if target0 is None:
+        target0 = total // 2
+    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
+
+    wdeg = np.zeros(n, dtype=np.int64)
+    np.add.at(wdeg, graph.edge_sources(), adjwgt)
+    neg_inf = np.iinfo(np.int64).min
+
+    best = None
+    for _ in range(trials):
+        where = np.ones(n, dtype=np.int8)
+        in_region = np.zeros(n, dtype=bool)
+        frontier = np.zeros(n, dtype=bool)
+        gain = -wdeg.copy()
+        pwgt0 = 0
+        while pwgt0 < target0 and pwgt0 < total:
+            if frontier.any():
+                masked = np.where(frontier, gain, neg_inf)
+                v = int(np.argmax(masked))
+            else:  # frontier empty: seed a fresh component
+                candidates = np.flatnonzero(~in_region)
+                v = int(candidates[rng.integers(len(candidates))])
+            if pwgt0 + int(vwgt[v]) >= total:
+                break  # absorbing v would empty part 1
+            in_region[v] = True
+            frontier[v] = False
+            where[v] = 0
+            pwgt0 += int(vwgt[v])
+            nbrs = adjncy[xadj[v] : xadj[v + 1]]
+            w = adjwgt[xadj[v] : xadj[v + 1]]
+            outside = ~in_region[nbrs]
+            touched = nbrs[outside]
+            np.add.at(gain, touched, 2 * w[outside])
+            frontier[touched] = True
+        cand = _grown_bisection(graph, where)
+        if best is None or cand.cut < best.cut:
+            best = cand
+    return best
+
+
+def _assert_same_bisection(got, ref):
+    assert got.cut == ref.cut
+    assert got.where.dtype == ref.where.dtype == np.int8
+    assert np.array_equal(got.where, ref.where)
+    assert got.pwgts.dtype == ref.pwgts.dtype
+    assert np.array_equal(got.pwgts, ref.pwgts)
+
+
+@st.composite
+def _growth_cases(draw):
+    """A weighted graph (possibly disconnected, with isolated vertices),
+    ``vwgt`` above 1 and a part-0 target anywhere in ``[0, total]``."""
+    graph = draw(graphs(weighted=True))
+    n = graph.nvtxs
+    vwgt = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    graph = CSRGraph(graph.xadj, graph.adjncy, graph.adjwgt, vwgt)
+    total = graph.total_vwgt()
+    target0 = draw(
+        st.one_of(st.none(), st.integers(0, total), st.sampled_from([1, total // 4]))
+    )
+    return graph, target0
 
 PARTITIONERS = {
     "ggp": lambda g, t, rng: ggp_bisection(g, t, rng, trials=10),
@@ -121,3 +206,53 @@ class TestDispatch:
             options = DEFAULT_OPTIONS.with_(initial=scheme)
             b = initial_bisection(g, options, np.random.default_rng(0))
             assert_valid_bisection(g, b)
+
+
+class TestReferenceOracle:
+    """The heap-driven growth is bit-identical to the dense-argmax one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_growth_cases(), seed=st.integers(0, 2**32 - 1),
+           trials=st.integers(1, 5))
+    def test_random_graphs(self, case, seed, trials):
+        graph, target0 = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gggp_bisection(graph, target0, rng, trials)
+        ref = _reference_gggp_bisection(graph, target0, ref_rng, trials)
+        _assert_same_bisection(got, ref)
+        # Seeding draws exactly as often: the streams end in the same state.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("target_frac", [0.5, 0.3, 0.7])
+    def test_coarse_mesh_levels(self, target_frac):
+        graph = grid2d(13, 11)
+        target0 = int(target_frac * graph.total_vwgt())
+        for seed in range(3):
+            _assert_same_bisection(
+                gggp_bisection(graph, target0, np.random.default_rng(seed)),
+                _reference_gggp_bisection(
+                    graph, target0, np.random.default_rng(seed)
+                ),
+            )
+
+
+@pytest.mark.perf
+class TestSpeed:
+    def test_gggp_4x_over_reference(self):
+        graph = grid2d(64, 64)
+
+        def run(impl):
+            best, result = float("inf"), None
+            for _ in range(3):
+                t0 = time.perf_counter()
+                result = impl(graph, None, np.random.default_rng(0))
+                best = min(best, time.perf_counter() - t0)
+            return best, result
+
+        t_ref, ref = run(_reference_gggp_bisection)
+        t_new, got = run(gggp_bisection)
+        _assert_same_bisection(got, ref)
+        assert t_ref / t_new >= 4, (
+            f"gggp_bisection only {t_ref / t_new:.1f}x faster than the "
+            f"reference (reference {t_ref:.4f}s, new {t_new:.4f}s)"
+        )

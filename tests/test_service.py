@@ -19,13 +19,21 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core import partition as local_partition
 from repro.core.options import (
@@ -774,3 +782,70 @@ class TestStreaming:
             )
             data = sock.recv(65536)
         assert b"400" in data.split(b"\r\n", 1)[0]
+
+
+
+# --------------------------------------------------------------------------
+# `repro serve` as a process
+# --------------------------------------------------------------------------
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestServeProcess:
+    """``repro serve`` stops cleanly on SIGINT and SIGTERM: exit status 0
+    and a complete trace, even when started with SIGINT ignored (as a job
+    started with ``&`` by a non-interactive shell is)."""
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"]
+    )
+    def test_signal_stops_with_a_complete_trace(self, tmp_path, signum):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        trace = tmp_path / "serve.jsonl"
+        port = _free_port()
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 "--trace", str(trace)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            addr = ("127.0.0.1", port)
+            deadline = time.monotonic() + 60.0
+            while True:
+                assert proc.poll() is None, proc.stderr.read().decode()
+                try:
+                    _request(addr, "GET", "/healthz")
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, "server never listened"
+                    time.sleep(0.1)
+            status, body = _request(
+                addr, "POST", "/partition",
+                {"workload": {"name": "4ELT", "scale": 0.05}, "nparts": 4},
+            )
+            assert status == 200 and body["cached"] is False
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert trace.stat().st_size > 0
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", str(trace), "--json"],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        phases = json.loads(out.stdout)["phases"]
+        assert phases and all(total > 0 for total in phases.values()), phases

@@ -114,6 +114,23 @@ def _marker_probe_job(value, *, guard=None):
     return value, getattr(guard, "test_marker", None)
 
 
+def _double_job(value, *, guard=None):
+    return 2 * value
+
+
+class _RecordingSpan:
+    """A truthy stand-in span that keeps the events it receives."""
+
+    def __init__(self):
+        self.events = []
+
+    def __bool__(self):
+        return True
+
+    def event(self, name, **fields):
+        self.events.append((name, fields))
+
+
 class TestBranchSupervisor:
     def test_drain_preserves_submission_order(self):
         with BranchSupervisor(2) as sup:
@@ -150,6 +167,27 @@ class TestBranchSupervisor:
             sup.submit(_marker_probe_job, 5, meta=None)
             [(meta, result)] = list(sup.drain())
         assert result == (5, "parent-guard")
+        _assert_no_orphans()
+
+    def test_crash_found_at_submit_is_recorded(self):
+        # The first branch's worker dies before the second submit, which
+        # then meets the broken pool; the crashed branch must still be
+        # charged with a retry, in the report and in the trace.
+        faults = fault_injector(
+            DEFAULT_OPTIONS.with_(faults="worker_crash:1")
+        )
+        report = ResilienceReport()
+        span = _RecordingSpan()
+        with BranchSupervisor(
+            2, report=report, span=span, faults=faults
+        ) as sup:
+            sup.submit(_double_job, 1, meta=0)
+            time.sleep(1.0)
+            sup.submit(_double_job, 2, meta=1)
+            drained = list(sup.drain())
+        assert drained == [(0, 2), (1, 4)]
+        assert [e.kind for e in _worker_events(report)] == ["retry"]
+        assert ("worker.retry", 0) in [(n, f.get("branch")) for n, f in span.events]
         _assert_no_orphans()
 
     def test_abnormal_exit_kills_the_pool(self):
