@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Integral
 
 from repro.kernels import BACKENDS
 from repro.utils.errors import ConfigurationError
@@ -122,7 +123,8 @@ class MultilevelOptions:
         bit-identical) before the supervisor degrades that branch to
         in-process sequential execution.
     seed:
-        Default RNG seed used when the caller does not supply one.
+        Default RNG seed used when the caller does not supply one; a
+        non-negative int, as :func:`numpy.random.default_rng` requires.
     sanitize:
         Enable the runtime invariant sanitizer
         (:mod:`repro.analysis.sanitize`): O(n+m) checks at every phase
@@ -211,6 +213,11 @@ class MultilevelOptions:
             raise ConfigurationError("deadline must be positive when set")
         if self.max_init_retries < 0:
             raise ConfigurationError("max_init_retries must be >= 0")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
+                or self.seed < 0):
+            raise ConfigurationError(
+                f"seed must be a non-negative int, got {self.seed!r}"
+            )
         if self.faults is not None:
             # Validate eagerly so a bad spec fails at configuration time,
             # not halfway through a partition.  Local import: resilience

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
+from repro.graph.validate import checked_cast, validate_graph
 from repro.utils.errors import GraphValidationError
 
 
@@ -44,7 +45,7 @@ def from_edge_list(n, edges, weights=None, vwgt=None, *, validate=True) -> CSRGr
     if weights is None:
         weights = np.ones(nedges, dtype=WEIGHT_DTYPE)
     else:
-        weights = np.asarray(weights, dtype=WEIGHT_DTYPE)
+        weights = checked_cast(weights, "weights", WEIGHT_DTYPE)
         if len(weights) != nedges:
             raise GraphValidationError(
                 f"{len(weights)} weights for {nedges} edges"
@@ -161,8 +162,6 @@ def from_scipy_sparse(matrix, vwgt=None, *, use_values=False) -> CSRGraph:
         # the number of mirrored copies is ambiguous; we take the summed value
         # as the weight, documented behaviour.
         pass
-    from repro.graph.validate import validate_graph
-
     validate_graph(g)
     return g
 

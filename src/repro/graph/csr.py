@@ -29,10 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.validate import checked_cast, validate_graph
 from repro.utils.errors import GraphValidationError
 
 INDEX_DTYPE = np.int32
 WEIGHT_DTYPE = np.int64
+
+
+def _cast(values, name, dtype):
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 class CSRGraph:
@@ -44,26 +49,30 @@ class CSRGraph:
         CSR arrays as described in the module docstring.  ``adjwgt`` and
         ``vwgt`` may be ``None``, meaning unit weights.
     validate:
-        When true (the default) the arrays are checked for structural
-        consistency (symmetry, no self-loops, weight positivity).  Internal
-        callers that construct graphs they know to be valid (e.g. the
-        contraction kernel) pass ``False`` to skip the O(m log m) check.
+        When true (the default) each array is checked before it is cast to
+        its storage dtype (integer dtype, values in range; see
+        :func:`~repro.graph.validate.checked_cast`) and the graph for
+        structural consistency (symmetry, no self-loops, weight
+        positivity).  Internal callers that construct graphs they know to
+        be valid (e.g. the contraction kernel) pass ``False`` to skip the
+        O(m log m) check.
     """
 
     __slots__ = ("xadj", "adjncy", "adjwgt", "vwgt", "_coords", "_degrees", "_src")
 
     def __init__(self, xadj, adjncy, adjwgt=None, vwgt=None, *, validate=True):
-        xadj = np.ascontiguousarray(xadj, dtype=np.int64)
-        adjncy = np.ascontiguousarray(adjncy, dtype=INDEX_DTYPE)
+        cast = checked_cast if validate else _cast
+        xadj = cast(xadj, "xadj", np.int64)
+        adjncy = cast(adjncy, "adjncy", INDEX_DTYPE)
         n = len(xadj) - 1
         if adjwgt is None:
             adjwgt = np.ones(len(adjncy), dtype=WEIGHT_DTYPE)
         else:
-            adjwgt = np.ascontiguousarray(adjwgt, dtype=WEIGHT_DTYPE)
+            adjwgt = cast(adjwgt, "adjwgt", WEIGHT_DTYPE)
         if vwgt is None:
             vwgt = np.ones(n, dtype=WEIGHT_DTYPE)
         else:
-            vwgt = np.ascontiguousarray(vwgt, dtype=WEIGHT_DTYPE)
+            vwgt = cast(vwgt, "vwgt", WEIGHT_DTYPE)
         self.xadj = xadj
         self.adjncy = adjncy
         self.adjwgt = adjwgt
@@ -72,8 +81,6 @@ class CSRGraph:
         self._degrees = None  # cached np.diff(xadj); see degrees()
         self._src = None  # cached edge-source expansion; see edge_sources()
         if validate:
-            from repro.graph.validate import validate_graph
-
             validate_graph(self)
 
     # ------------------------------------------------------------------

@@ -105,7 +105,7 @@ def read_graph(path) -> CSRGraph:
         )
     edges = []  # (v, u) with v < u, in file order
     seen: dict[tuple[int, int], int] = {}  # directed (v, u) -> weight
-    vwgt = np.ones(n, dtype=np.int64)
+    vwgt = [1] * n  # Python ints: CSRGraph refuses what int64 cannot hold
     for v, line in enumerate(body):
         fields = _int_fields(line, path, f"adjacency line of vertex {v + 1}")
         pos = 0

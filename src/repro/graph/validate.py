@@ -8,9 +8,13 @@ A :class:`~repro.graph.csr.CSRGraph` must satisfy:
   appears in both ``u``'s and ``v``'s list with the same ``w``;
 * no duplicate neighbours within one vertex's list;
 * vertex weights are positive, edge weights are positive;
-* index arrays have integer dtypes (float indices silently truncate);
 * weight totals fit comfortably in int64 (the cut/balance arithmetic
   accumulates them with ``np.int64`` and must never wrap).
+
+Before any of that, the constructor passes each array through
+:func:`checked_cast`, which refuses what the cast to its storage dtype
+would hide: non-integer dtypes (floats truncate, strings parse) and
+values outside the storage dtype (they wrap).
 
 Validation is O(m log m) (it sorts each adjacency list), so internal callers
 skip it on graphs produced by trusted kernels; the test suite exercises it
@@ -44,14 +48,35 @@ def _check_weight_sum(weights, name: str) -> None:
         )
 
 
+def checked_cast(values, name: str, dtype) -> np.ndarray:
+    """``values`` as a contiguous 1-D ``dtype`` array, unchanged by the cast.
+
+    Raises :class:`GraphValidationError` for any other shape, a non-integer
+    dtype or a value outside ``dtype``'s range.  An empty array passes
+    whatever its dtype (``np.asarray([])`` is float64).
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise GraphValidationError(
+            f"{name} must be one-dimensional, got shape {arr.shape}"
+        )
+    if arr.size:
+        info = np.iinfo(dtype)
+        if arr.dtype.kind not in "iu":
+            raise GraphValidationError(
+                f"{name} must hold {info.dtype} integers, got dtype {arr.dtype}"
+            )
+        for value in (int(arr.min()), int(arr.max())):
+            if not info.min <= value <= info.max:
+                raise GraphValidationError(
+                    f"{name} must hold {info.dtype} integers, got {value}"
+                )
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 def validate_graph(graph) -> None:
     """Raise :class:`GraphValidationError` if ``graph`` is malformed."""
     xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
-    for name, arr in (("xadj", xadj), ("adjncy", adjncy)):
-        if not np.issubdtype(np.asarray(arr).dtype, np.integer):
-            raise GraphValidationError(
-                f"{name} must have an integer dtype, got {np.asarray(arr).dtype}"
-            )
     n = len(xadj) - 1
     if n < 0:
         raise GraphValidationError("xadj must have at least one entry")

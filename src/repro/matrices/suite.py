@@ -13,11 +13,15 @@ default order for studies at other sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from repro.graph.csr import INDEX_DTYPE
 from repro.matrices import circuits, highway, lp, mesh2d, mesh3d, power
-from repro.utils.errors import UnknownWorkloadError
+from repro.utils.errors import ConfigurationError, UnknownWorkloadError
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,10 @@ def load(name: str, *, scale: float = 1.0, seed: int = 0, cache: bool = True):
     """Instantiate the synthetic analogue of matrix ``name``.
 
     ``name`` may be a full name (``"BCSSTK31"``) or the short figure code
-    (``"BC31"``).  ``scale`` multiplies the default order.  Instances are
-    cached by ``(name, scale, seed)``.
+    (``"BC31"``).  ``scale`` multiplies the default order; it must be
+    finite and positive, the order it gives must fit ``int32`` vertex ids
+    and ``seed`` must be non-negative (else :class:`ConfigurationError`).
+    Instances are cached by ``(name, scale, seed)``.
     """
     entry = SUITE.get(name) or _SHORT.get(name)
     if entry is None:
@@ -156,7 +162,15 @@ def load(name: str, *, scale: float = 1.0, seed: int = 0, cache: bool = True):
     key = (entry.name, scale, seed)
     if cache and key in _CACHE:
         return _CACHE[key]
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(f"scale must be finite and positive, got {scale}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     n = max(16, int(entry.default_order * scale))
+    if n > np.iinfo(INDEX_DTYPE).max:
+        raise ConfigurationError(
+            f"scale {scale} gives {entry.name} {n:.3g} vertices, past int32 ids"
+        )
     graph = entry.factory(n, seed)
     if cache:
         _CACHE[key] = graph

@@ -17,7 +17,7 @@ from repro.ordering.elimination import (
     factor_stats,
     symbolic_factor,
 )
-from repro.ordering.mmd import minimum_degree_ordering, mmd_ordering
+from repro.ordering.mmd import mmd_ordering
 from repro.ordering.nested_dissection import (
     mlnd_ordering,
     nested_dissection_ordering,
@@ -45,7 +45,6 @@ __all__ = [
     "mlnd_ordering",
     "nested_dissection_ordering",
     "mmd_ordering",
-    "minimum_degree_ordering",
     "snd_ordering",
     "factor_stats",
     "FactorStats",

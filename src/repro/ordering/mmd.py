@@ -14,8 +14,12 @@ implementation with the three devices that define MMD:
   degree is recomputed — degree updates are the expensive step, and this
   batches them.
 * **supervariables** (indistinguishable nodes): variables with identical
-  closed reachable sets are merged and eliminated together; detected after
-  each round by hashing ``(adjacent elements, closed variable adjacency)``.
+  closed reachable sets are merged and eliminated together (*mass
+  elimination*); detected after each round by hashing ``(adjacent
+  elements, variable adjacency)``.  Every variable hashed has just gained
+  an element, so two with equal keys share one; eliminating that element's
+  variable removed the edge between them, so neither is in the other's
+  variable adjacency and their closed reachable sets are equal.
 
 External degrees (excluding the supervariable's own weight) are used, as in
 Liu's MMD.
@@ -41,11 +45,10 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
     Returns
     -------
     Ordering
+        ``meta["supervariables"]`` lists the size of each eliminated
+        supervariable in elimination order; they sum to ``nvtxs``.
     """
     n = graph.nvtxs
-    if n == 0:
-        return Ordering.identity(0, "mmd")
-
     xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
     adj_vars: list[set] = [set(adjncy[xadj[v] : xadj[v + 1]]) for v in range(n)]
     adj_elems: list[set] = [set() for _ in range(n)]
@@ -126,10 +129,7 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
         for u in sorted(touched):
             if eliminated[u] or not alive[u]:
                 continue
-            key = (
-                frozenset(adj_elems[u]),
-                frozenset(adj_vars[u] | {u}),
-            )
+            key = (frozenset(adj_elems[u]), frozenset(adj_vars[u]))
             other = sig.get(key)
             if other is not None:
                 # u is indistinguishable from `other`: merge u into it.  u
@@ -163,15 +163,5 @@ def mmd_ordering(graph, delta: int = 0) -> Ordering:
         (orig for v in order for orig in members[v]), dtype=np.int64, count=n
     )
     ordering = Ordering.from_perm(perm, "mmd")
-    ordering.meta["rounds"] = None
+    ordering.meta["supervariables"] = [weight[v] for v in order]
     return ordering
-
-
-def minimum_degree_ordering(graph) -> Ordering:
-    """Plain (single-elimination) minimum degree — MMD with no batching.
-
-    Provided for the ablation benches; identical code path with
-    ``delta = 0`` still batches independent same-degree nodes, so this
-    wrapper exists mainly to document intent at call sites.
-    """
-    return mmd_ordering(graph, delta=0)

@@ -30,7 +30,8 @@ import dataclasses
 import numpy as np
 
 from repro.core.options import DEFAULT_OPTIONS, MultilevelOptions
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import INDEX_DTYPE, WEIGHT_DTYPE, CSRGraph
+from repro.graph.validate import checked_cast
 from repro.service.cache import where_digest
 from repro.utils.errors import (
     ConfigurationError,
@@ -55,6 +56,14 @@ _OPTION_FIELDS = tuple(
 
 #: Ordering methods the ``/order`` endpoint accepts.
 ORDER_METHODS = ("mlnd", "mmd", "snd")
+
+#: Inline CSR fields in ``CSRGraph`` argument order, with storage dtypes.
+_CSR_DTYPES = {
+    "xadj": np.int64,
+    "adjncy": INDEX_DTYPE,
+    "adjwgt": WEIGHT_DTYPE,
+    "vwgt": WEIGHT_DTYPE,
+}
 
 
 class ServiceRequestError(ReproError):
@@ -99,29 +108,31 @@ def parse_options(obj) -> MultilevelOptions:
         )
     try:
         return DEFAULT_OPTIONS.with_(**obj)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        # TypeError: a value of the wrong type met a range check.
         raise ServiceRequestError(f"invalid options: {exc}") from exc
 
 
 def _csr_from_inline(obj) -> CSRGraph:
     obj = _expect_mapping(obj, "graph")
-    unknown = set(obj) - {"xadj", "adjncy", "adjwgt", "vwgt"}
+    unknown = set(obj) - _CSR_DTYPES.keys()
     if unknown:
         raise ServiceRequestError(f"unknown graph field(s) {sorted(unknown)}")
     for required in ("xadj", "adjncy"):
-        if required not in obj:
+        if obj.get(required) is None:
             raise ServiceRequestError(f"graph is missing {required!r}")
     try:
-        return CSRGraph(
-            np.asarray(obj["xadj"], dtype=np.int64),
-            np.asarray(obj["adjncy"], dtype=np.int32),
-            None if obj.get("adjwgt") is None else np.asarray(obj["adjwgt"], dtype=np.int64),
-            None if obj.get("vwgt") is None else np.asarray(obj["vwgt"], dtype=np.int64),
-        )
+        arrays = [
+            None if obj.get(name) is None else checked_cast(obj[name], name, dtype)
+            for name, dtype in _CSR_DTYPES.items()
+        ]
+    except (GraphValidationError, ValueError) as exc:
+        # ValueError: ragged nesting that NumPy cannot make an array of.
+        raise ServiceRequestError(f"malformed CSR arrays: {exc}") from exc
+    try:
+        return CSRGraph(*arrays)
     except GraphValidationError as exc:
         raise ServiceRequestError(f"invalid graph: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ServiceRequestError(f"malformed CSR arrays: {exc}") from exc
 
 
 def _csr_from_workload(obj) -> CSRGraph:

@@ -175,6 +175,17 @@ class TestMalformed:
         g = read_graph(path)
         assert g.nvtxs == 3 and g.nedges == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [f"2 1 10\n{2**70} 2\n1 1\n", f"2 1 1\n2 {2**70}\n1 {2**70}\n"],
+        ids=["vertex-weight", "edge-weight"],
+    )
+    def test_weight_beyond_int64(self, tmp_path, text):
+        path = tmp_path / "g.graph"
+        path.write_text(text)
+        with pytest.raises(GraphValidationError, match="int64"):
+            read_graph(path)
+
     def test_unsupported_fmt(self, tmp_path):
         path = tmp_path / "g.graph"
         path.write_text("2 1 7\n2\n1\n")

@@ -4,7 +4,9 @@
 sums as Python ints.  ``_reference_mmd_ordering`` below keeps the NumPy
 fancy-indexed degree sums it replaced; a hypothesis sweep asserts the two
 orderings are identical, and a ``perf``-marked test that the rewrite is
-the faster one on an MLND-leaf-sized graph.
+the faster one on an MLND-leaf-sized graph.  ``TestMassElimination``
+replays each ordering on an explicit elimination graph, the exact oracle
+for the supervariables MMD reports in ``meta["supervariables"]``.
 """
 
 import time
@@ -14,13 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrices import grid2d
-from repro.ordering import (
-    Ordering,
-    factor_stats,
-    minimum_degree_ordering,
-    mmd_ordering,
-)
+from repro.core.options import DEFAULT_OPTIONS
+from repro.matrices import grid2d, suite
+from repro.matrices.mesh3d import expand_dofs
+from repro.ordering import Ordering, factor_stats, mlnd_ordering, mmd_ordering
 from tests.conftest import (
     complete_graph,
     cycle_graph,
@@ -32,7 +31,11 @@ from tests.test_properties import graphs
 
 
 def _reference_mmd_ordering(graph, delta=0):
-    """MMD with ndarray weights and a fancy-indexed sum per degree update."""
+    """MMD with ndarray weights and a fancy-indexed sum per degree update.
+
+    Its supervariable key is ``mmd_ordering``'s, so the sweep compares the
+    degree sums over merged supervariables.
+    """
     n = graph.nvtxs
     if n == 0:
         return Ordering.identity(0, "mmd")
@@ -111,10 +114,7 @@ def _reference_mmd_ordering(graph, delta=0):
         for u in sorted(touched):
             if eliminated[u] or not alive[u]:
                 continue
-            key = (
-                frozenset(adj_elems[u]),
-                frozenset(adj_vars[u] | {u}),
-            )
+            key = (frozenset(adj_elems[u]), frozenset(adj_vars[u]))
             other = sig.get(key)
             if other is not None:
                 bucket_move(other, degree[other], degree[other] - weight[u])
@@ -153,6 +153,33 @@ def _assert_same_ordering(got, ref):
         assert a.dtype == b.dtype == np.int64
         assert np.array_equal(a, b)
     assert got.method == ref.method
+
+
+def _replay_supervariables(graph, ordering):
+    """Eliminate ``ordering.perm`` on an explicit elimination graph.
+
+    Every group of ``meta["supervariables"]`` is a run of ``perm`` whose
+    members have identical closed neighbourhoods when the first of them is
+    eliminated — the definition of indistinguishable variables.
+    """
+    adj = [set(graph.neighbors(v).tolist()) for v in range(graph.nvtxs)]
+    perm = ordering.perm.tolist()
+    sizes = ordering.meta["supervariables"]
+    assert min(sizes, default=1) >= 1 and sum(sizes) == graph.nvtxs
+    start = 0
+    for size in sizes:
+        group = perm[start : start + size]
+        closed = adj[group[0]] | {group[0]}
+        for u in group[1:]:
+            assert adj[u] | {u} == closed, (
+                f"{group} at step {start}: {u} differs from {group[0]}"
+            )
+        for v in group:
+            for u in adj[v]:
+                adj[u] |= adj[v]
+                adj[u] -= {u, v}
+            adj[v] = set()
+        start += size
 
 
 class TestValidity:
@@ -237,10 +264,6 @@ class TestQuality:
         for delta in (0, 1, 2):
             mmd_ordering(g, delta=delta).verify()
 
-    def test_minimum_degree_alias(self):
-        g = path_graph(10)
-        minimum_degree_ordering(g).verify()
-
     def test_deterministic(self):
         g = random_graph(40, 0.15, seed=6)
         a = mmd_ordering(g)
@@ -279,6 +302,34 @@ class TestReferenceOracle:
             )
 
 
+class TestMassElimination:
+    """Indistinguishable variables merge and leave together."""
+
+    def test_clique_leaves_after_its_first_vertex(self):
+        # Eliminating vertex 0 leaves the other eight with one shared
+        # element and no variable edges: one supervariable of weight 8.
+        assert mmd_ordering(complete_graph(9)).meta["supervariables"] == [1, 8]
+
+    def test_stiffness_analogue_merges(self):
+        # Three degrees of freedom per mesh node: 900 vertices leave in
+        # 189 supervariable eliminations.
+        graph = suite.load("BCSSTK31", scale=0.25, seed=1)
+        sizes = mmd_ordering(graph).meta["supervariables"]
+        assert sum(sizes) == graph.nvtxs
+        assert len(sizes) < graph.nvtxs // 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graphs(weighted=True, min_n=0), delta=st.integers(0, 2))
+    def test_replay_random_graphs(self, graph, delta):
+        _replay_supervariables(graph, mmd_ordering(graph, delta))
+
+    @pytest.mark.parametrize("delta", [0, 1, 2])
+    def test_replay_meshes_and_cliques(self, delta):
+        for graph in (complete_graph(9), expand_dofs(grid2d(7, 6), 3),
+                      suite.load("BCSSTK31", scale=0.25, seed=1)):
+            _replay_supervariables(graph, mmd_ordering(graph, delta))
+
+
 @pytest.mark.perf
 class TestSpeed:
     def test_mmd_1_5x_over_reference_on_a_leaf(self):
@@ -300,3 +351,31 @@ class TestSpeed:
             f"mmd_ordering only {t_ref / t_new:.2f}x faster than the "
             f"reference (reference {t_ref:.4f}s, new {t_new:.4f}s)"
         )
+
+    def test_mmd_beats_mlnd_on_the_stiffness_analogue(self):
+        # §4.2: MMD is the fast serial baseline that MLND's orderings are
+        # measured against.
+        graph = suite.load("BCSSTK31", scale=0.25, seed=1)
+        options = DEFAULT_OPTIONS.with_(workers=1)
+
+        def best(run):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        t_mmd = best(lambda: mmd_ordering(graph))
+        t_mlnd = best(lambda: mlnd_ordering(graph, options))
+        assert t_mmd < t_mlnd, f"MMD {t_mmd:.3f}s, MLND {t_mlnd:.3f}s"
+
+    def test_deadline_bounds_mlnd(self):
+        # An expired deadline orders each remaining subgraph with MMD.
+        graph = suite.load("BCSSTK31", scale=0.5, seed=1)
+        options = DEFAULT_OPTIONS.with_(workers=1, deadline=0.05)
+        t0 = time.perf_counter()
+        ordering = mlnd_ordering(graph, options)
+        elapsed = time.perf_counter() - t0
+        ordering.verify()
+        assert elapsed < 10 * options.deadline, f"returned after {elapsed:.2f}s"

@@ -46,6 +46,7 @@ from repro.obs import read_trace
 from repro.service import (
     BackgroundServer,
     JobQueue,
+    PartitionService,
     ResultCache,
     ServiceRequestError,
     graph_digest,
@@ -344,6 +345,79 @@ class TestSchema:
             {"workload": {"name": "NOPE"}},
         )
         assert exc.value.status == 404
+
+
+def _edge(**fields) -> dict:
+    """The one-edge inline graph, with ``fields`` replaced."""
+    return {"xadj": [0, 1, 2], "adjncy": [1, 0], **fields}
+
+
+class TestHostileValues:
+    """Values of the wrong type or range are a 400 and leave the service
+    healthy; none reaches a NumPy cast or a job."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        svc = PartitionService()
+        yield svc
+        svc.close()
+
+    def _post(self, service, body):
+        raw = json.dumps(body).encode()
+        status, payload, _ = asyncio.run(
+            service.handle_request("POST", "/partition", raw)
+        )
+        assert asyncio.run(
+            service.handle_request("GET", "/healthz", b"")
+        )[0] == 200
+        return status, payload
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            _edge(adjncy=[2**40, 0]),
+            _edge(xadj=[0, 2**70, 2]),
+            _edge(adjwgt=[2**70, 2**70]),
+            _edge(vwgt=[2**70, 1]),
+            _edge(adjncy=[1.9, 0]),
+            _edge(adjncy=["1", 0]),
+        ],
+        ids=["adjncy-2^40", "xadj-2^70", "adjwgt-2^70", "vwgt-2^70",
+             "float-id", "string-id"],
+    )
+    def test_csr_entry(self, service, graph):
+        status, payload = self._post(service, {"graph": graph, "nparts": 2})
+        assert status == 400, payload
+        assert "malformed CSR arrays" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"seed": "5"}, {"seed": 5.5}, {"seed": -1}, {"ubfactor": "x"}],
+        ids=["seed-str", "seed-float", "seed-negative", "ubfactor-str"],
+    )
+    def test_option_value(self, service, options):
+        status, payload = self._post(
+            service, {"graph": _edge(), "nparts": 2, "options": options}
+        )
+        assert status == 400, payload
+        assert "invalid options" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "workload",
+        [{"scale": 1e300}, {"scale": "nan"}, {"scale": 0}, {"seed": -1}],
+        ids=["scale-1e300", "scale-nan", "scale-zero", "seed-negative"],
+    )
+    def test_workload_value(self, service, workload):
+        status, payload = self._post(
+            service, {"workload": {"name": "4ELT", **workload}, "nparts": 2}
+        )
+        assert status == 400, payload
+
+    def test_library_options_reject_the_seed_up_front(self):
+        for seed in ("5", 5.5, -1, True):
+            with pytest.raises(ConfigurationError, match="seed"):
+                DEFAULT_OPTIONS.with_(seed=seed)
+        assert DEFAULT_OPTIONS.with_(seed=np.int64(5)).seed == 5
 
 
 # --------------------------------------------------------------------------

@@ -142,3 +142,28 @@ def test_validate_false_skips_checks():
         validate=False,
     )
     assert g.nvtxs == 2
+
+
+class TestCheckedBeforeTheCast:
+    """Arrays are checked as given: a cast would truncate or wrap them."""
+
+    def test_float_arrays_are_not_truncated_into_an_edge(self):
+        with pytest.raises(GraphValidationError, match="dtype float64"):
+            CSRGraph(np.array([0, 1.7, 2]), np.array([1.9, 0.2]))
+
+    def test_int64_id_past_int32_does_not_wrap(self):
+        # 2**32 + 1 would wrap to vertex 1 and pass as the edge 0-1.
+        adjncy = np.array([2**32 + 1, 0], dtype=np.int64)
+        with pytest.raises(GraphValidationError, match="4294967297"):
+            CSRGraph(np.array([0, 1, 2]), adjncy)
+
+    def test_uint64_weight_past_int64_does_not_wrap(self):
+        with pytest.raises(GraphValidationError, match="vwgt"):
+            build(vwgt=np.array([1, 2**63, 1], dtype=np.uint64))
+
+    def test_two_dimensional_array(self):
+        with pytest.raises(GraphValidationError, match="one-dimensional"):
+            build(vwgt=np.ones((3, 1), dtype=np.int64))
+
+    def test_empty_float_array_is_an_empty_adjacency(self):
+        assert CSRGraph([0, 0], []).nvtxs == 1
