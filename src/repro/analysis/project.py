@@ -113,12 +113,6 @@ class ModuleInfo:
             yield cur
             cur = self.parents.get(id(cur))
 
-    def line_text(self, lineno: int) -> str:
-        lines = self.source.splitlines()
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
-
 
 def _module_name_for(path: Path, root_hint: Path | None = None) -> str:
     """Dotted module name for ``path``.

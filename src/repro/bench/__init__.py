@@ -10,7 +10,6 @@ snapshot comparison).  The pytest entry points live in the repository's
 from repro.bench.harness import (
     Row,
     bench_matrices,
-    bench_options,
     bench_scale,
     bench_seed,
     format_table,
@@ -25,7 +24,6 @@ __all__ = [
     "bench_scale",
     "bench_seed",
     "bench_matrices",
-    "bench_options",
     "format_table",
     "pivot",
     "diff_paths",

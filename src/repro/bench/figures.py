@@ -19,8 +19,9 @@ import time
 
 import numpy as np
 
-from repro.bench.harness import Row, bench_options, bench_seed
+from repro.bench.harness import Row, bench_seed
 from repro.core import partition
+from repro.core.options import DEFAULT_OPTIONS
 from repro.matrices import suite
 from repro.ordering import factor_stats, mlnd_ordering, mmd_ordering, snd_ordering
 from repro.spectral.chaco_ml import chaco_ml_partition
@@ -49,7 +50,7 @@ def cut_ratio_rows(
     ``baseline`` is ``"msb"``, ``"msb-kl"`` or ``"chaco-ml"``.
     """
     seed = bench_seed() if seed is None else seed
-    options = bench_options()
+    options = DEFAULT_OPTIONS
     runners = {
         "msb": lambda g, k, s: msb_partition(
             g, k, options, np.random.default_rng(s)
@@ -99,7 +100,7 @@ def runtime_rows(
     ``nparts=64`` is the scaled analogue of the paper's 256-way runs.
     """
     seed = bench_seed() if seed is None else seed
-    options = bench_options()
+    options = DEFAULT_OPTIONS
     rows = []
     for name in matrices:
         graph = suite.load(name, scale=scale, seed=0)
@@ -143,7 +144,7 @@ def ordering_rows(matrices, *, scale=1.0, seed=None) -> list[Row]:
     elimination-tree available parallelism for each ordering.
     """
     seed = bench_seed() if seed is None else seed
-    options = bench_options()
+    options = DEFAULT_OPTIONS
     rows = []
     for name in matrices:
         graph = suite.load(name, scale=scale, seed=0)

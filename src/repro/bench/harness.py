@@ -19,19 +19,14 @@ knobs the pytest benchmarks honour:
     Optional per-partition wall-clock budget in seconds (unset = no
     deadline); exercises the deadline-degraded paths of
     docs/RESILIENCE.md under benchmark load.
-``REPRO_BENCH_KERNELS``
-    Kernel backend for every experiment: ``loop`` (bit-exact reference,
-    default) or ``numba`` — the ``options.kernels`` registry switch of
-    docs/PERFORMANCE.md; without numba installed, ``numba`` runs ``loop``.
-    CI's numba leg runs the same table under both values and gates on
-    ``repro bench-diff``.
-``REPRO_BENCH_WORKERS``
-    Process count for parallel recursive bisection (default 1 =
-    sequential; bit-identical results either way).
 
-All ``REPRO_BENCH_*`` variables are recorded in every ``BENCH_*.json``
-payload's env block (see :func:`repro.obs.export.bench_env`), so a
-snapshot always says which kernel and worker count produced it.
+The experiments start from
+:data:`~repro.core.options.DEFAULT_OPTIONS`, so the library's own
+variables select the rest: ``REPRO_KERNELS`` the kernel backend,
+``REPRO_WORKERS`` the process count.  Every ``REPRO_*`` variable is
+recorded in each ``BENCH_*.json`` payload's env block (see
+:func:`repro.obs.export.bench_env`), so a snapshot always says which
+kernel and worker count produced it.
 """
 
 from __future__ import annotations
@@ -63,26 +58,6 @@ def bench_deadline() -> float | None:
     """Per-partition wall-clock budget from ``REPRO_BENCH_DEADLINE``."""
     raw = os.environ.get("REPRO_BENCH_DEADLINE", "")
     return float(raw) if raw else None
-
-
-def bench_options(base=None):
-    """Experiment options with the env-selected kernel and worker count.
-
-    Starts from ``base`` (default: :data:`~repro.core.options.DEFAULT_OPTIONS`)
-    and applies ``REPRO_BENCH_KERNELS`` / ``REPRO_BENCH_WORKERS`` when
-    set, so every bench driver runs the configuration the CI perf legs
-    (or a local A/B run) asked for.
-    """
-    from repro.core.options import DEFAULT_OPTIONS
-
-    options = base if base is not None else DEFAULT_OPTIONS
-    backend = os.environ.get("REPRO_BENCH_KERNELS", "")
-    if backend:
-        options = options.with_(kernels=backend)
-    raw_workers = os.environ.get("REPRO_BENCH_WORKERS", "")
-    if raw_workers:
-        options = options.with_(workers=int(raw_workers))
-    return options
 
 
 def bench_matrices(default: list[str], full: list[str]) -> list[str]:

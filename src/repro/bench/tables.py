@@ -19,9 +19,14 @@ import time
 
 import numpy as np
 
-from repro.bench.harness import Row, bench_deadline, bench_options, bench_seed
+from repro.bench.harness import Row, bench_deadline, bench_seed
 from repro.core import partition
-from repro.core.options import InitialScheme, MatchingScheme, RefinePolicy
+from repro.core.options import (
+    DEFAULT_OPTIONS,
+    InitialScheme,
+    MatchingScheme,
+    RefinePolicy,
+)
 from repro.matrices import suite
 
 MATCHING_SCHEMES = [
@@ -62,7 +67,7 @@ def table2_rows(matrices, *, nparts=32, scale=1.0, seed=None) -> list[Row]:
     for name in matrices:
         graph = suite.load(name, scale=scale, seed=0)
         for scheme in MATCHING_SCHEMES:
-            options = bench_options().with_(
+            options = DEFAULT_OPTIONS.with_(
                 matching=scheme,
                 initial=InitialScheme.GGGP,
                 refinement=RefinePolicy.BKLGR,
@@ -98,7 +103,7 @@ def table3_rows(matrices, *, nparts=32, scale=1.0, seed=None) -> list[Row]:
     for name in matrices:
         graph = suite.load(name, scale=scale, seed=0)
         for scheme in MATCHING_SCHEMES:
-            options = bench_options().with_(
+            options = DEFAULT_OPTIONS.with_(
                 matching=scheme,
                 initial=InitialScheme.GGGP,
                 refinement=RefinePolicy.NONE,
@@ -128,7 +133,7 @@ def table4_rows(matrices, *, nparts=32, scale=1.0, seed=None) -> list[Row]:
     for name in matrices:
         graph = suite.load(name, scale=scale, seed=0)
         for policy in REFINE_POLICIES:
-            options = bench_options().with_(
+            options = DEFAULT_OPTIONS.with_(
                 matching=MatchingScheme.HEM,
                 initial=InitialScheme.GGGP,
                 refinement=policy,

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.sanitize import sanitizer
 from repro.core.matching import matching_stats
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
-from repro.kernels import resolve_kernels
+from repro.core.run import Run
 from repro.obs.tracer import NULL_SPAN
 from repro.graph.contract import (
     coarse_map_from_matching,
@@ -52,21 +51,21 @@ class CoarseningHierarchy:
         """The coarsest graph ``G_m``."""
         return self.graphs[-1]
 
-    def project_to_finest(self, coarse_values: np.ndarray) -> np.ndarray:
-        """Map per-vertex values on the coarsest graph to the finest.
-
-        Utility used by tests and by MSB-style algorithms: composes the
-        coarse maps so ``result[v] = coarse_values[cmap_{m-1}[… cmap_0[v]]]``.
+    def project_to_finest(
+        self, coarse_values: np.ndarray, level=None
+    ) -> np.ndarray:
+        """Map per-vertex values on graph ``level`` (default: the coarsest)
+        to the finest: composes the coarse maps so ``result[v] =
+        coarse_values[cmap_{level-1}[… cmap_0[v]]]``.
         """
         values = np.asarray(coarse_values)
-        for cmap in reversed(self.cmaps):
+        for cmap in reversed(self.cmaps[:level]):
             values = values[cmap]
         return values
 
 
 def coarsen(
-    graph, options=DEFAULT_OPTIONS, rng=None, *, faults=None, report=None,
-    span=None, kernels=None,
+    graph, options=DEFAULT_OPTIONS, rng=None, *, run=None, span=None,
 ) -> CoarseningHierarchy:
     """Run the coarsening phase on ``graph``.
 
@@ -80,33 +79,31 @@ def coarsen(
         ``max_coarsen_levels``.
     rng:
         Seed or generator for the randomized matchings.
-    faults:
-        Optional :class:`~repro.resilience.faults.FaultInjector`; its
-        ``matching`` site simulates a degenerate matching (no shrinkage),
-        stopping coarsening at the current level.
-    report:
-        Optional :class:`~repro.resilience.report.ResilienceReport`; a
-        ``stall`` event is recorded whenever coarsening stops above
-        ``coarsen_to`` — injected or natural — since downstream phases then
-        run on a larger-than-intended coarsest graph.
+    run:
+        The caller's :class:`~repro.core.run.Run`, whose kernels match and
+        contract and whose sanitizer checks each level.  Its fault
+        injector's ``matching`` site simulates a degenerate matching (no
+        shrinkage), stopping coarsening at the current level, and its
+        report gets a ``stall`` event whenever coarsening stops above
+        ``coarsen_to`` — injected or natural — since downstream phases
+        then run on a larger-than-intended coarsest graph.  Without one
+        (:meth:`Run.branch <repro.core.run.Run.branch>`) nothing is
+        traced or injected.
     span:
         Optional open tracer span (the ``CTime`` phase span); when truthy
         each level gets a ``coarsen.match`` and a ``coarsen.contract``
         child span and a ``coarsen.level`` event with the coarse sizes and
         the :func:`~repro.core.matching.matching_stats` summary, and the
         selected matching/contract backends are recorded on the span.
-    kernels:
-        Pre-resolved :class:`repro.kernels.KernelSelection` threaded by the
-        driver; resolved from ``options`` when omitted.
 
     Returns
     -------
     CoarseningHierarchy
     """
     rng = as_generator(rng if rng is not None else options.seed)
-    san = sanitizer(options)
-    if kernels is None:
-        kernels = resolve_kernels(options)
+    if run is None:
+        run = Run.branch(options)
+    san, kernels = run.sanitizer, run.kernels
     matching_kernel = kernels.kernel("matching")
     contract_kernel = kernels.kernel("contract")
     matching_backend = kernels.backend("matching")
@@ -130,15 +127,16 @@ def coarsen(
         and hierarchy.nlevels <= options.max_coarsen_levels
     ):
         level = hierarchy.nlevels - 1
-        if faults and faults.trip("matching"):
-            if report is not None:
-                report.record(
-                    "stall",
-                    "coarsen",
-                    f"injected degenerate matching at {current.nvtxs} "
-                    "vertices; coarsening stopped",
-                    level=level,
-                )
+        if run.faults and run.faults.trip("matching"):
+            run.report.record(
+                "stall",
+                "coarsen",
+                f"injected degenerate matching at {current.nvtxs} "
+                "vertices; coarsening stopped",
+                level=level,
+                reason="injected",
+                nvtxs=current.nvtxs,
+            )
             break
         with (
             span.child(
@@ -156,14 +154,16 @@ def coarsen(
             san.check_matching(current, match, level=level)
         cmap, ncoarse = coarse_map_from_matching(match)
         if ncoarse >= current.nvtxs * options.coarsen_stall_ratio:
-            if report is not None:
-                report.record(
-                    "stall",
-                    "coarsen",
-                    f"matching stalled ({current.nvtxs} → {ncoarse} "
-                    "vertices); coarsening stopped",
-                    level=level,
-                )
+            run.report.record(
+                "stall",
+                "coarsen",
+                f"matching stalled ({current.nvtxs} → {ncoarse} "
+                "vertices); coarsening stopped",
+                level=level,
+                reason="stalled",
+                nvtxs=current.nvtxs,
+                ncoarse=ncoarse,
+            )
             break  # matching stalled; further levels would spin
         if options.matching is MatchingScheme.HCM:
             cewgt = collapsed_edge_weight(current, cmap, ncoarse, cewgt)

@@ -26,6 +26,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme
+from repro.core.run import Run
 from repro.graph.partition import Bisection, edge_cut, part_weights
 from repro.utils.errors import PartitionError, SpectralConvergenceError
 from repro.utils.rng import as_generator, spawn_child
@@ -237,8 +238,7 @@ def initial_bisection(
     rng=None,
     target0=None,
     *,
-    faults=None,
-    report=None,
+    run=None,
     span=None,
 ):
     """Dispatch to the configured initial-partitioning scheme, resiliently.
@@ -249,17 +249,20 @@ def initial_bisection(
     the next scheme, and one that produces an invalid bisection (see
     :func:`initial_defect`) is retried with a fresh child seed.  The
     terminal fallback — a weighted-median split by vertex id — cannot fail
-    and is accepted unconditionally.  Every fallback and retry is recorded
-    to ``report`` when one is supplied, and mirrored as ``initial.*``
-    events on ``span`` when tracing is enabled — the joined view (which
-    scheme ran, how often it was reseeded, what it fell back to) is the
-    per-attempt record the :class:`~repro.resilience.report.ResilienceReport`
-    summarises.
+    and is accepted unconditionally.  ``run`` (the caller's
+    :class:`~repro.core.run.Run`; without one nothing is traced or
+    injected) supplies the ``lanczos`` and ``initial`` fault sites, and
+    its report records every fallback and retry — in a traced run also as
+    ``initial.fallback`` / ``initial.retry`` events, next to the
+    ``initial.attempt`` event ``span`` gets for the accepted bisection.
 
     The first attempt consumes ``rng`` exactly as the pre-resilience
     dispatch did, so results on the no-failure path are bit-identical.
     """
     rng = as_generator(rng if rng is not None else options.seed)
+    if run is None:
+        run = Run.branch(options)
+    faults, report = run.faults, run.report
     n = graph.nvtxs
     if n < 2:
         raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
@@ -278,18 +281,13 @@ def initial_bisection(
                     scheme, graph, options, attempt_rng, target0, faults
                 )
             except SpectralConvergenceError as exc:
-                if report is not None:
-                    report.record(
-                        "fallback",
-                        "initial",
-                        f"{scheme.value} failed ({exc}); trying next scheme",
-                    )
-                if span:
-                    span.event(
-                        "initial.fallback",
-                        scheme=scheme.value,
-                        reason="convergence",
-                    )
+                report.record(
+                    "fallback",
+                    "initial",
+                    f"{scheme.value} failed ({exc}); trying next scheme",
+                    scheme=scheme.value,
+                    reason="convergence",
+                )
                 break  # retrying a deterministic solver is pointless
             if faults and faults.trip("initial"):
                 bisection = _corrupt_bisection(graph)
@@ -305,42 +303,31 @@ def initial_bisection(
                     )
                 return bisection
             if attempt < options.max_init_retries:
-                if report is not None:
-                    report.record(
-                        "retry",
-                        "initial",
-                        f"{scheme.value} produced {defect}; "
-                        f"reseeding (attempt {attempt + 2})",
-                    )
-                if span:
-                    span.event(
-                        "initial.retry",
-                        scheme=scheme.value,
-                        attempt=attempt + 1,
-                        defect=defect,
-                    )
+                report.record(
+                    "retry",
+                    "initial",
+                    f"{scheme.value} produced {defect}; "
+                    f"reseeding (attempt {attempt + 2})",
+                    scheme=scheme.value,
+                    attempt=attempt + 1,
+                    defect=defect,
+                )
             else:
-                if report is not None:
-                    report.record(
-                        "fallback",
-                        "initial",
-                        f"{scheme.value} still invalid after "
-                        f"{options.max_init_retries} reseeds ({defect}); "
-                        "trying next scheme",
-                    )
-                if span:
-                    span.event(
-                        "initial.fallback",
-                        scheme=scheme.value,
-                        reason="defect",
-                        defect=defect,
-                    )
-    if report is not None:
-        report.record(
-            "fallback",
-            "initial",
-            "all schemes failed; weighted-median split by vertex id",
-        )
-    if span:
-        span.event("initial.fallback", scheme="median", reason="exhausted")
+                report.record(
+                    "fallback",
+                    "initial",
+                    f"{scheme.value} still invalid after "
+                    f"{options.max_init_retries} reseeds ({defect}); "
+                    "trying next scheme",
+                    scheme=scheme.value,
+                    reason="defect",
+                    defect=defect,
+                )
+    report.record(
+        "fallback",
+        "initial",
+        "all schemes failed; weighted-median split by vertex id",
+        scheme="median",
+        reason="exhausted",
+    )
     return split_at_weighted_median(graph, np.arange(n), target0)

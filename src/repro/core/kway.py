@@ -81,9 +81,10 @@ def partition(
     Returns
     -------
     repro.graph.partition.KWayPartition
-        With ``timers`` carrying the accumulated CTime/ITime/RTime/PTime
-        and ``resilience`` holding the run's
-        :class:`~repro.resilience.report.ResilienceReport`.  Unlike
+        With ``timers`` carrying the accumulated CTime/ITime/RTime/PTime,
+        ``resilience`` holding the run's
+        :class:`~repro.resilience.report.ResilienceReport` and ``kernels``
+        its resolved per-phase kernel backends.  Unlike
         :func:`~repro.core.multilevel.bisect`, an expired deadline never
         raises here: the remaining subproblems degrade to weight-contiguous
         assignment and the partition completes.
@@ -162,6 +163,7 @@ def partition(
                 root.set(cut=int(result.cut))
         result.timers = run.timers.totals()
         result.resilience = run.report
+        result.kernels = run.kernels.as_dict()
         return result
 
 
@@ -192,6 +194,9 @@ def _settle(vwgt, k, first_part, where, vmap, run) -> bool:
             "kway",
             f"deadline expired; weight-contiguous assignment of parts "
             f"{first_part}..{first_part + k - 1}",
+            reason="deadline",
+            first_part=first_part,
+            nparts=k,
         )
     else:
         return False
@@ -250,6 +255,7 @@ def _recurse(graph, k, first_part, where, vmap, rng, run, bisector, *,
                 "fallback",
                 "kway",
                 f"bisector failed ({exc}); multilevel bisection fallback",
+                reason="bisector-error",
             )
             result = bisect(graph, run.options, spawn_child(child_rng),
                             target0=target0, run=run)
@@ -262,6 +268,8 @@ def _recurse(graph, k, first_part, where, vmap, rng, run, bisector, *,
             "deadline expired mid-bisection; continuing from "
             + ("best-so-far split" if exc.best is not None
                else "weighted-median split"),
+            reason="deadline-mid-bisection",
+            best=exc.best is not None,
         )
         if exc.best is not None:
             side = np.asarray(exc.best.where).copy()

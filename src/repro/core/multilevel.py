@@ -96,6 +96,7 @@ _DEGRADE = {
 
 def _effective_policy(policy, run, level):
     """The refinement policy to run at ``level``, degraded when necessary."""
+    policy = RefinePolicy(policy)  # the CLI and the service pass its name
     degraded = _DEGRADE.get(policy)
     if degraded is None:
         return policy
@@ -106,6 +107,9 @@ def _effective_policy(policy, run, level):
             f"injected pass-budget exhaustion: {policy.value} → "
             f"{degraded.value}",
             level=level,
+            reason="injected",
+            policy=policy.value,
+            degraded=degraded.value,
         )
         return degraded
     guard = run.guard
@@ -117,6 +121,9 @@ def _effective_policy(policy, run, level):
             f"{guard.deadline:.3f}s left): {policy.value} → "
             f"{degraded.value}",
             level=level,
+            reason="deadline",
+            policy=policy.value,
+            degraded=degraded.value,
         )
         return degraded
     return policy
@@ -143,9 +150,7 @@ def _checkpoint(run, hierarchy, level, phase, current=None):
         return
     best = None
     if current is not None:
-        where = np.asarray(current().where)
-        for cmap in reversed(hierarchy.cmaps[:level]):
-            where = where[cmap]
+        where = hierarchy.project_to_finest(current().where, level)
         best = Bisection.from_where(hierarchy.graphs[0], where)
     guard.check(phase=phase, level=level, best=best, report=run.report)
 
@@ -230,30 +235,25 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
     if graph.nvtxs < 2:
         raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
     rng = as_generator(rng if rng is not None else options.seed)
-    timers = PhaseTimer()
     stats = PassStats()
     target0, maxpwgt = _targets(graph, options, target0)
     with Run.entry(
-        run, options, "bisect", timers=timers,
+        run, options, "bisect", timers=PhaseTimer(),
         nvtxs=graph.nvtxs, nedges=graph.nedges,
     ) as run:
-        trc, san, kernels = run.tracer, run.sanitizer, run.kernels
+        san = run.sanitizer
         # --- Phase 1: coarsening -------------------------------------
         if hierarchy is None:
-            with timers.phase("CTime"), trc.span("coarsen", phase="CTime") as sp:
-                hierarchy = coarsen(
-                    graph, options, rng, faults=run.faults, report=run.report,
-                    span=sp, kernels=kernels,
-                )
+            with run.phase("CTime", "coarsen") as sp:
+                hierarchy = coarsen(graph, options, rng, run=run, span=sp)
         coarsest_level = hierarchy.nlevels - 1
         coarsest = hierarchy.coarsest
         _checkpoint(run, hierarchy, coarsest_level, "coarsen")
 
         # --- Phase 2: initial partition ------------------------------
-        with timers.phase("ITime"), trc.span("initial", phase="ITime") as sp:
+        with run.phase("ITime", "initial") as sp:
             bisection = initial_bisection(
-                coarsest, options, rng, target0,
-                faults=run.faults, report=run.report, span=sp,
+                coarsest, options, rng, target0, run=run, span=sp
             )
             if sp:
                 sp.set(
@@ -275,9 +275,7 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
         for level in range(coarsest_level, -1, -1):
             level_graph = hierarchy.graphs[level]
             if level < coarsest_level:
-                with timers.phase("PTime"), trc.span(
-                    "project", phase="PTime", level=level
-                ):
+                with run.phase("PTime", "project", level=level):
                     where = project_where(bisection.where, hierarchy.cmaps[level])
                     bisection = Bisection(
                         where=where,
@@ -294,9 +292,7 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
                         level=level,
                     )
             if refine_at(level, coarsest_level):
-                with timers.phase("RTime"), trc.span(
-                    "refine", phase="RTime", level=level
-                ) as sp:
+                with run.phase("RTime", "refine", level=level) as sp:
                     refine_bisection(
                         level_graph,
                         bisection,
@@ -305,8 +301,8 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
                         maxpwgt=maxpwgt,
                         original_nvtxs=graph.nvtxs,
                         stats=stats,
+                        run=run,
                         span=sp,
-                        kernels=kernels,
                     )
             _checkpoint(
                 run, hierarchy, level,
@@ -314,6 +310,7 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
                 lambda: bisection,
             )
 
+        trc = run.tracer
         if trc:
             trc.counter("bisect.calls", 1)
             trc.counter("fm.moves", stats.moves_tried)
@@ -322,11 +319,11 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
 
         return MultilevelResult(
             bisection=bisection,
-            timers=timers,
+            timers=run.timers,
             nlevels=hierarchy.nlevels,
             coarsest_nvtxs=coarsest.nvtxs,
             initial_cut=initial_cut,
             stats=stats,
             resilience=run.report,
-            kernels=kernels.as_dict(),
+            kernels=run.kernels.as_dict(),
         )

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.sanitize import sanitizer
 from repro.core.gains import external_internal_degrees, make_gain_tables
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
+from repro.core.run import Run
 from repro.graph.partition import Bisection
 
 
@@ -331,8 +331,8 @@ def refine_bisection(
     maxpwgt=None,
     original_nvtxs=None,
     stats=None,
+    run=None,
     span=None,
-    kernels=None,
 ) -> Bisection:
     """Refine ``bisection`` in place according to ``policy``.
 
@@ -343,15 +343,16 @@ def refine_bisection(
     original_nvtxs:
         |V₀| of the multilevel run, used by BKLGR's 2 % switch; defaults to
         this graph's size (i.e. flat refinement).
+    run:
+        The caller's :class:`~repro.core.run.Run` (by default
+        :meth:`Run.branch <repro.core.run.Run.branch>` of ``options``),
+        whose sanitizer checks each pass and whose ``fm`` kernel runs it:
+        :func:`fm_pass` for ``loop``, the jitted bucket-array pass for
+        ``numba``.
     span:
         Optional open tracer span; annotated with the resolved policy and
         the selected FM kernel backend, and forwarded to the pass kernel
         for per-pass events.
-    kernels:
-        Pre-resolved :class:`repro.kernels.KernelSelection` threaded by
-        the driver; resolved from ``options`` when omitted.  The ``fm``
-        phase selects the pass kernel: :func:`fm_pass` for ``loop``, the
-        jitted bucket-array pass for ``numba``.
 
     Returns
     -------
@@ -372,13 +373,11 @@ def refine_bisection(
     pwgts = bisection.pwgts
     cut = bisection.cut
     x = options.kl_early_exit
-    san = sanitizer(options)
-    if kernels is None:
-        from repro.kernels import resolve_kernels
-
-        kernels = resolve_kernels(options)
-    pass_kernel = kernels.kernel("fm")
-    fm_backend = kernels.backend("fm")
+    if run is None:
+        run = Run.branch(options)
+    san = run.sanitizer
+    pass_kernel = run.kernels.kernel("fm")
+    fm_backend = run.kernels.backend("fm")
 
     # One O(m) degree computation serves both BKLGR's switch and the first
     # pass; later passes recompute them, since each pass leaves them stale.

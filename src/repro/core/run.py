@@ -6,12 +6,17 @@ joins the :class:`Run` its caller passes or opens one from its options.
 The run's report, fault injector, deadline guard (armed with the run's
 :class:`~repro.utils.timing.PhaseTimer`), tracer, sanitizer and kernels
 then span the whole call — every bisection of a k-way recursion or a
-dissection included, whichever bisector makes it.
+dissection included, whichever bisector makes it.  The phase functions
+(``coarsen``, ``initial_bisection``, ``refine_bisection``) take it too.
+
+Each fact is recorded by one call: :meth:`Run.phase` times a phase and
+traces it, and the run's report writes every degradation it records to
+the trace as well.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from repro.analysis.sanitize import sanitizer
@@ -19,6 +24,7 @@ from repro.kernels import KernelSelection, resolve_kernels
 from repro.obs.tracer import NULL as NULL_TRACER
 from repro.obs.tracer import tracer_from
 from repro.resilience.deadline import DeadlineGuard
+from repro.resilience.faults import NULL as NULL_FAULTS
 from repro.resilience.faults import fault_injector
 from repro.resilience.report import ResilienceReport
 from repro.utils.timing import PhaseTimer
@@ -64,7 +70,7 @@ class Run:
         return cls(
             options=options,
             timers=timers,
-            report=ResilienceReport(),
+            report=ResilienceReport(tracer),
             faults=fault_injector(options),
             guard=guard,
             tracer=tracer,
@@ -75,22 +81,45 @@ class Run:
 
     @classmethod
     def branch(cls, options, guard=None):
-        """The run of one recursion branch handed to the supervisor.
+        """The run of one recursion branch handed to the supervisor, or of
+        a phase function called without a run.
 
-        Tracing is off (the parent owns the trace and splices worker
-        timings back), and the only guard is the given one: ``None`` in a
-        pool worker, whose time the parent bounds, and the remaining
-        budget in the supervisor's in-process sequential fallback.
+        Tracing and fault injection are off (the parent owns the trace
+        and splices worker timings and events back; a pool only runs
+        branches whose faults are the parent's ``worker_*`` sites), and
+        the only guard is the given one: ``None`` in a pool worker, whose
+        time the parent bounds, and the remaining budget in the
+        supervisor's in-process sequential fallback.
         """
-        return replace(cls.open(options, tracer=NULL_TRACER), guard=guard)
+        return cls(
+            options=options,
+            timers=PhaseTimer(),
+            report=ResilienceReport(),
+            faults=NULL_FAULTS,
+            guard=guard,
+            tracer=NULL_TRACER,
+            sanitizer=sanitizer(options),
+            kernels=resolve_kernels(options),
+        )
 
     @classmethod
-    def entry(cls, run, options, name, **kwargs):
-        """``with`` target: the caller's ``run``, else a new one (``kwargs``
+    def entry(cls, run, options, name, *, timers=None, **kwargs):
+        """``with`` target: the caller's ``run``, its phases timed into
+        ``timers`` when given, else a new one (``timers`` and ``kwargs``
         go to :meth:`open`) closed when the block exits."""
-        if run is not None:
-            return nullcontext(run)
-        return cls.open(options, name, **kwargs)
+        if run is None:
+            return cls.open(options, name, timers=timers, **kwargs)
+        return nullcontext(run if timers is None else replace(run, timers=timers))
+
+    @contextmanager
+    def phase(self, key, name, **fields):
+        """Time the block under ``key`` in :attr:`timers` and trace it as
+        span ``name`` tagged ``phase=key``; yields the span (falsy when
+        tracing is off)."""
+        with self.timers.phase(key), self.tracer.span(
+            name, phase=key, **fields
+        ) as span:
+            yield span
 
     def __enter__(self) -> "Run":
         return self

@@ -175,6 +175,9 @@ class KWayPartition:
     timers:
         Optional accumulated per-phase times (CTime/ITime/RTime/PTime keys
         mirroring the paper's tables).
+    kernels:
+        The resolved per-phase kernel backends of the run that produced
+        the partition (:meth:`repro.kernels.KernelSelection.as_dict`).
     """
 
     where: np.ndarray
@@ -182,6 +185,7 @@ class KWayPartition:
     cut: int
     pwgts: np.ndarray
     timers: dict = field(default_factory=dict)
+    kernels: dict = field(default_factory=dict)
 
     @classmethod
     def from_where(cls, graph, where, nparts=None) -> "KWayPartition":

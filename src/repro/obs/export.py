@@ -245,7 +245,7 @@ def bench_env() -> dict:
     knobs = {
         key: value
         for key, value in os.environ.items()
-        if key.startswith("REPRO_BENCH_") or key in ("REPRO_TRACE",)
+        if key.startswith("REPRO_")
     }
     if knobs:
         env["knobs"] = knobs

@@ -12,8 +12,8 @@ just inside a benchmark.  A :class:`Tracer` records three things:
 * **events** — point-in-time records attached to the innermost open span:
   one per coarsening level (|V|, |E|, matched fraction, heavy-edge share),
   one per FM pass (moves, rejections, undo depth, boundary size), one per
-  initial-partition attempt/fallback (joined with the
-  :class:`~repro.resilience.report.ResilienceReport`).
+  accepted initial partition, and one per event of the run's
+  :class:`~repro.resilience.report.ResilienceReport`, which writes them.
 * **counters** — monotonically accumulated totals, emitted once when the
   tracer closes.
 

@@ -28,7 +28,6 @@ from repro.core.multilevel import bisect as ml_bisect
 from repro.core.options import DEFAULT_OPTIONS
 from repro.core.run import Run
 from repro.graph.components import connected_components, extract_subgraph
-from repro.obs.tracer import NULL_SPAN
 from repro.ordering.base import Ordering
 from repro.ordering.mmd import mmd_ordering
 from repro.ordering.vertex_cover import vertex_separator_from_bisection
@@ -102,7 +101,7 @@ def _mlnd_branch_job(sub, rng, *, options, leaf_size, refine_separator,
     run = Run.branch(options, guard)
     perm = np.empty(sub.nvtxs, dtype=np.int64)
     _dissect(sub, _ml_bisector(options, run), rng, perm, leaf_size,
-             refine_separator, run, NULL_SPAN)
+             refine_separator, run)
     return perm, run.report
 
 
@@ -137,7 +136,8 @@ def nested_dissection_ordering(
         once the guard expires — is ordered with MMD instead (recorded;
         dissection never raises on deadline, and sanitizer failures still
         propagate).  Its sanitizer checks every separator, and its tracer
-        gets one ``dissect`` span with ``nd.*`` events.
+        gets one ``dissect`` span with ``nd.*`` events — the report's
+        degradations among them, pool branches' included.
     branch_job:
         Optional *picklable* callable ``(subgraph, rng) → (perm, report)``
         dissecting one subtree in a pool worker (it must also accept a
@@ -174,7 +174,7 @@ def nested_dissection_ordering(
             ) as par:
                 _dissect(
                     graph, bisector, rng, perm, leaf_size, refine_separator,
-                    run, sp, par=par, branch_job=branch_job,
+                    run, par=par, branch_job=branch_job,
                 )
                 for meta, branch in par.drain():
                     vmap, lo, hi = meta
@@ -183,8 +183,7 @@ def nested_dissection_ordering(
                     run.report.merge(sub_report)
         else:
             _dissect(
-                graph, bisector, rng, perm, leaf_size, refine_separator,
-                run, sp,
+                graph, bisector, rng, perm, leaf_size, refine_separator, run
             )
 
     ordering = Ordering.from_perm(perm, method)
@@ -193,16 +192,16 @@ def nested_dissection_ordering(
 
 
 def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
-             sp, *, par=None, branch_job=None):
+             *, par=None, branch_job=None):
     """The dissection loop of :func:`nested_dissection_ordering`.
 
-    Fills ``perm`` in place; ``sp`` is the enclosing ``dissect`` span (or a
-    null span when tracing is off).  Every stack entry owns a dedicated
+    Fills ``perm`` in place.  Every stack entry owns a dedicated
     generator, spawned by its parent *before* any sibling runs, so the
     result is invariant to processing order — which lets ``par`` ship
     whole subtrees at ``depth >= par.fan_depth`` to pool workers via
     ``branch_job`` without changing a bit of the permutation.  ``run``
-    supplies the sanitizer, the report and the deadline guard.
+    supplies the sanitizer, the report, the deadline guard and the
+    tracer, whose events land on the enclosing ``dissect`` span.
     """
     n = graph.nvtxs
     san, report, guard = run.sanitizer, run.report, run.guard
@@ -216,8 +215,7 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
         if nv == 0:
             continue
         if nv <= leaf_size:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
+            _order_by_mmd(sub, vmap, perm, lo, hi)
             continue
         if (
             par is not None
@@ -246,18 +244,16 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
         if guard is not None and guard.expired():
             # Budget gone: MMD the rest of the tree — valid ordering, no
             # more dissection levels.
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
+            _order_by_mmd(sub, vmap, perm, lo, hi)
             report.record(
                 "degradation",
                 "ordering",
                 f"deadline expired; MMD on remaining {nv}-vertex subgraph",
                 level=depth,
+                reason="deadline",
+                nvtxs=nv,
+                depth=depth,
             )
-            if sp:
-                sp.event(
-                    "nd.degraded", reason="deadline", nvtxs=nv, depth=depth
-                )
             continue
 
         # Every stream this entry uses is spawned from its own generator in
@@ -271,39 +267,29 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
         except SanitizerError:
             raise  # a broken invariant is a bug, not a recoverable fault
         except DeadlineExceededError:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
+            _order_by_mmd(sub, vmap, perm, lo, hi)
             report.record(
                 "degradation",
                 "ordering",
                 f"deadline expired mid-bisection; MMD on {nv}-vertex "
                 "subgraph",
                 level=depth,
+                reason="deadline-mid-bisection",
+                nvtxs=nv,
+                depth=depth,
             )
-            if sp:
-                sp.event(
-                    "nd.degraded",
-                    reason="deadline-mid-bisection",
-                    nvtxs=nv,
-                    depth=depth,
-                )
             continue
         except ReproError as exc:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
+            _order_by_mmd(sub, vmap, perm, lo, hi)
             report.record(
                 "fallback",
                 "ordering",
                 f"bisector failed ({exc}); MMD on {nv}-vertex subgraph",
                 level=depth,
+                reason="bisector-error",
+                nvtxs=nv,
+                depth=depth,
             )
-            if sp:
-                sp.event(
-                    "nd.fallback",
-                    reason="bisector-error",
-                    nvtxs=nv,
-                    depth=depth,
-                )
             continue
         sep = vertex_separator_from_bisection(sub, where)
         if refine_separator and len(sep):
@@ -330,26 +316,21 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
         if len(a_ids) == 0 or len(b_ids) == 0:
             # Degenerate split (can happen on cliques where the separator
             # swallows a side): fall back to MMD on the whole subgraph.
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
+            _order_by_mmd(sub, vmap, perm, lo, hi)
             report.record(
                 "fallback",
                 "ordering",
                 f"degenerate split (separator swallowed a side); MMD on "
                 f"{nv}-vertex subgraph",
                 level=depth,
+                reason="degenerate-split",
+                nvtxs=nv,
+                depth=depth,
             )
-            if sp:
-                sp.event(
-                    "nd.fallback",
-                    reason="degenerate-split",
-                    nvtxs=nv,
-                    depth=depth,
-                )
             continue
 
-        if sp:
-            sp.event(
+        if run.tracer:
+            run.tracer.event(
                 "nd.separator",
                 depth=depth,
                 nvtxs=nv,
@@ -366,3 +347,9 @@ def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, run,
                       rng_a))
         stack.append((b_sub, vmap[b_ids], lo + len(a_ids), sep_lo, depth + 1,
                       rng_b))
+
+
+def _order_by_mmd(sub, vmap, perm, lo, hi):
+    """Order subgraph ``sub`` by MMD into ``perm[lo:hi]`` (``vmap`` maps
+    its vertices to the original graph): leaves and every fallback."""
+    perm[lo:hi] = vmap[mmd_ordering(sub).perm]

@@ -102,7 +102,10 @@ class DeadlineGuard:
             if spent:
                 detail += f" (phase breakdown: {spent})"
         if report is not None:
-            report.record("deadline", phase, detail, level=level)
+            report.record(
+                "deadline", phase, detail, level=level,
+                deadline=self.deadline, elapsed=elapsed,
+            )
         raise DeadlineExceededError(
             detail,
             deadline=self.deadline,

@@ -31,12 +31,13 @@ fault-tolerant execution layer:
   so the result is still bit-identical.  Drivers never hang and never
   observe a ``BrokenProcessPool``.
 
-Every supervision decision is recorded twice: as a ``retry`` /
-``degradation`` event (phase ``"worker"``) in the run's
-:class:`~repro.resilience.report.ResilienceReport`, and as a ``worker.*``
-tracer event on the driver's span (``worker.crash``, ``worker.timeout``,
-``worker.retry``, ``worker.degrade``, ``worker.rebuild``,
-``worker.fault``), which ``repro trace`` rolls up into the profile.
+Every supervision decision is a ``worker.*`` trace event on the
+driver's span, which ``repro trace`` rolls up into the profile:
+``worker.crash``, ``worker.timeout``, ``worker.rebuild`` and
+``worker.fault`` are emitted there, and each retry or demotion is one
+``retry`` / ``degradation`` record (phase ``"worker"``) in the run's
+:class:`~repro.resilience.report.ResilienceReport`, which a traced run's
+report writes as ``worker.retry`` / ``worker.degrade``.
 
 The ``worker_crash`` / ``worker_hang`` / ``worker_slow`` fault sites
 (:mod:`repro.resilience.faults`) are consulted here, in the parent, at
@@ -223,11 +224,12 @@ class BranchSupervisor:
         (``options.worker_retries``).
     report:
         The run's :class:`~repro.resilience.report.ResilienceReport`;
-        every retry / degradation decision is recorded.
+        every retry / degradation decision is recorded (and traced, when
+        the report is).
     span:
         The driver's open tracer span (or a falsy null span); receives
-        the ``worker.*`` events and parents the ``worker.sequential``
-        span of demoted branches.
+        the other ``worker.*`` events and parents the
+        ``worker.sequential`` span of demoted branches.
     faults:
         The run's fault injector; only the ``worker_*`` sites are
         consulted, at submission time, in the parent.
@@ -389,25 +391,18 @@ class BranchSupervisor:
                 f"branch {job.index} {cause} after {job.attempts} "
                 f"attempt(s); degrading to in-process sequential execution"
             )
-            if self.report is not None:
-                self.report.record("degradation", "worker", detail)
-            if self.span:
-                self.span.event(
-                    "worker.degrade", branch=job.index, cause=cause,
-                    attempts=job.attempts,
-                )
+            kind = "degradation"
         else:
             detail = (
                 f"branch {job.index} {cause}; retry {job.attempts}/"
                 f"{self.max_retries} with the same pre-seeded RNG stream"
             )
-            if self.report is not None:
-                self.report.record("retry", "worker", detail)
-            if self.span:
-                self.span.event(
-                    "worker.retry", branch=job.index, cause=cause,
-                    attempts=job.attempts,
-                )
+            kind = "retry"
+        if self.report is not None:
+            self.report.record(
+                kind, "worker", detail,
+                branch=job.index, cause=cause, attempts=job.attempts,
+            )
 
     def _rebuild(self) -> bool:
         """Replace a broken pool and resubmit every unfinished branch."""

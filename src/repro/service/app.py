@@ -48,7 +48,7 @@ from repro.core.options import cache_key_payload
 from repro.obs.export import read_trace
 from repro.obs.schema import PHASE_KEYS
 from repro.obs.tracer import NULL as NULL_TRACER
-from repro.obs.tracer import open_tracer
+from repro.obs.tracer import open_tracer, trace_target
 from repro.service.cache import ResultCache, request_key
 from repro.service.jobs import JobQueue
 from repro.service.schema import (
@@ -121,7 +121,7 @@ class PartitionService:
                  queue_workers: int = 2, backlog: int = 16,
                  trace: str | None = None, max_body: int = 64 << 20):
         if trace is None:
-            trace = os.environ.get("REPRO_TRACE", "").strip() or None
+            trace = trace_target()
         self.tracer = (
             open_tracer(trace, run="service") if trace else NULL_TRACER
         )

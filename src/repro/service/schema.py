@@ -201,7 +201,7 @@ def partition_response(graph, result, *, key: str) -> dict:
         "where_sha256": where_digest(result.where),
         "pwgts": [int(w) for w in result.pwgts],
         "timers": {k: float(v) for k, v in (result.timers or {}).items()},
-        "kernels": dict(getattr(result, "kernels", {}) or {}),
+        "kernels": dict(result.kernels),
         "resilience": resilience_payload(getattr(result, "resilience", None)),
     }
 

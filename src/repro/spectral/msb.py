@@ -44,45 +44,36 @@ def msb_fiedler(
 ) -> np.ndarray:
     """Fiedler vector of ``graph`` via the multilevel (MSB) scheme.
 
-    Uses ``run`` like the V-cycle does, with a deadline checkpoint at each
-    level boundary: once it fires, the raised
+    Uses ``run`` like the V-cycle does, timing its phases into ``timers``
+    (default: the run's own), with a deadline checkpoint at each level
+    boundary: once it fires, the raised
     :class:`~repro.utils.errors.DeadlineExceededError` carries the current
     vector's weighted-median split for ``target0`` (default half the
     weight), projected to ``graph``, as best-so-far.
     """
     rng = as_generator(rng if rng is not None else options.seed)
-    if timers is None:
-        timers = PhaseTimer()
     if target0 is None:
         target0 = graph.total_vwgt() // 2
     with Run.entry(
         run, options, "msb-fiedler", timers=timers, nvtxs=graph.nvtxs
     ) as run:
-        trc = run.tracer
         msb_options = options.with_(matching=MatchingScheme.RM)
-        with timers.phase("CTime"), trc.span("coarsen", phase="CTime") as sp:
-            hierarchy = coarsen(
-                graph, msb_options, rng, faults=run.faults, report=run.report,
-                span=sp, kernels=run.kernels,
-            )
+        with run.phase("CTime", "coarsen") as sp:
+            hierarchy = coarsen(graph, msb_options, rng, run=run, span=sp)
         level = hierarchy.nlevels - 1
         _checkpoint(run, hierarchy, level, "coarsen")
 
         def split():
             return split_at_weighted_median(hierarchy.graphs[level], vec, target0)
 
-        with timers.phase("ITime"), trc.span("fiedler", phase="ITime"):
+        with run.phase("ITime", "fiedler"):
             vec = fiedler_vector(hierarchy.coarsest, rng, faults=run.faults)
         _checkpoint(run, hierarchy, level, "initial", split)
         for level in range(hierarchy.nlevels - 2, -1, -1):
             fine = hierarchy.graphs[level]
-            with timers.phase("PTime"), trc.span(
-                "interpolate", phase="PTime", level=level
-            ):
+            with run.phase("PTime", "interpolate", level=level):
                 vec = vec[hierarchy.cmaps[level]]  # interpolate
-            with timers.phase("RTime"), trc.span(
-                "polish", phase="RTime", level=level
-            ) as sp:
+            with run.phase("RTime", "polish", level=level) as sp:
                 try:
                     # Small levels are solved densely (the warm start and
                     # Krylov settings only steer the Lanczos path).
@@ -99,6 +90,7 @@ def msb_fiedler(
                     run.report.record(
                         "fallback", "refine", f"Fiedler polish failed "
                         f"({exc}); kept the interpolated vector", level=level,
+                        reason="convergence",
                     )
                     if sp:
                         sp.set(polish="kept-interpolant")
@@ -120,13 +112,13 @@ def msb_bisect(
     if graph.nvtxs < 2:
         raise PartitionError("cannot bisect a graph with fewer than 2 vertices")
     rng = as_generator(rng if rng is not None else options.seed)
-    timers = PhaseTimer()
     stats = PassStats()
     target0, maxpwgt = _targets(graph, options, target0)
-    with Run.entry(run, options, "msb", timers=timers, nvtxs=graph.nvtxs) as run:
-        trc = run.tracer
-        vec = msb_fiedler(graph, options, rng, timers, target0=target0, run=run)
-        with timers.phase("ITime"), trc.span("split", phase="ITime"):
+    with Run.entry(
+        run, options, "msb", timers=PhaseTimer(), nvtxs=graph.nvtxs
+    ) as run:
+        vec = msb_fiedler(graph, options, rng, target0=target0, run=run)
+        with run.phase("ITime", "split"):
             bisection = split_at_weighted_median(graph, vec, target0)
         if run.sanitizer:
             run.sanitizer.check_bisection(
@@ -135,9 +127,7 @@ def msb_bisect(
             )
         initial_cut = bisection.cut
         if kl_refine:
-            with timers.phase("RTime"), trc.span(
-                "refine", phase="RTime"
-            ) as sp:
+            with run.phase("RTime", "refine") as sp:
                 refine_bisection(
                     graph,
                     bisection,
@@ -145,12 +135,12 @@ def msb_bisect(
                     options,
                     maxpwgt=maxpwgt,
                     stats=stats,
+                    run=run,
                     span=sp,
-                    kernels=run.kernels,
                 )
         return MultilevelResult(
             bisection=bisection,
-            timers=timers,
+            timers=run.timers,
             nlevels=1,
             coarsest_nvtxs=graph.nvtxs,
             initial_cut=initial_cut,

@@ -15,7 +15,7 @@ from repro.utils.errors import (
     UnknownWorkloadError,
 )
 from repro.utils.rng import as_generator, spawn_child
-from repro.utils.timing import Stopwatch, PhaseTimer
+from repro.utils.timing import PhaseTimer
 
 __all__ = [
     "ReproError",
@@ -27,6 +27,5 @@ __all__ = [
     "UnknownWorkloadError",
     "as_generator",
     "spawn_child",
-    "Stopwatch",
     "PhaseTimer",
 ]

@@ -46,8 +46,3 @@ def spawn_child(rng: np.random.Generator) -> np.random.Generator:
     # independent child stream without sharing mutable state.
     seed = rng.integers(0, 2**63 - 1, size=2, dtype=np.int64)
     return np.random.default_rng(np.random.SeedSequence(entropy=[int(s) for s in seed]))
-
-
-def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A random permutation of ``range(n)`` as int64 (thin wrapper for reuse)."""
-    return rng.permutation(n)

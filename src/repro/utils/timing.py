@@ -12,21 +12,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 
 
-class Stopwatch:
-    """A resettable wall-clock stopwatch based on ``time.perf_counter``."""
-
-    def __init__(self) -> None:
-        self._start = time.perf_counter()
-
-    def reset(self) -> None:
-        """Restart the stopwatch from zero."""
-        self._start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        """Seconds elapsed since construction or the last :meth:`reset`."""
-        return time.perf_counter() - self._start
-
-
 class PhaseTimer:
     """Accumulates wall-clock time per named phase.
 
@@ -69,10 +54,6 @@ class PhaseTimer:
     def totals(self) -> dict[str, float]:
         """A copy of all phase totals."""
         return dict(self._totals)
-
-    def grand_total(self) -> float:
-        """Sum of all phase totals (what a deadline guard accounts against)."""
-        return sum(self._totals.values())
 
     def merge(self, other: "PhaseTimer") -> None:
         """Fold another timer's totals into this one (used by recursion)."""

@@ -336,6 +336,12 @@ class TestBenchExport:
 
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
         assert bench_env()["knobs"]["REPRO_BENCH_SCALE"] == "0.25"
+        # The library's own selectors name a snapshot's kernel and workers.
+        monkeypatch.setenv("REPRO_KERNELS", "loop")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        knobs = bench_env()["knobs"]
+        assert knobs["REPRO_KERNELS"] == "loop"
+        assert knobs["REPRO_WORKERS"] == "2"
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import bisect, partition
 from repro.core.options import DEFAULT_OPTIONS
-from repro.graph import write_graph
-from repro.matrices import grid2d
+from repro.graph import from_edge_list, write_graph
+from repro.matrices import grid2d, suite
 from repro.obs import PHASE_KEYS, profile, read_trace
-from repro.ordering import mlnd_ordering
+from repro.ordering import mlnd_ordering, snd_ordering
+from repro.spectral import chaco_ml_partition, msb_partition
 
 
 @pytest.fixture
@@ -246,3 +247,81 @@ class TestProfileRollup:
         prof = profile(read_trace(trace_path))
         for key in PHASE_KEYS:
             assert prof["phases"][key] <= result.timers.get(key, 0.0) + 1e-6
+
+
+def _stars(k, m):
+    """``k`` stars of ``m`` leaves with their centres on a path: no
+    matching shrinks it, so every bisection records a coarsening stall —
+    pool branches' included."""
+    edges = []
+    for star in range(k):
+        centre = star * (m + 1)
+        edges += [(centre, centre + leaf) for leaf in range(1, m + 1)]
+        if star:
+            edges.append((centre - m - 1, centre))
+    return from_edge_list(k * (m + 1), edges)
+
+
+#: case -> (driver, option fields).  Each records resilience events.
+PARITY_CASES = {
+    "kway-deadline": (
+        lambda o: partition(suite.load("4ELT", seed=0), 64, o),
+        {"deadline": 0.05},
+    ),
+    "kway-faults": (
+        lambda o: partition(suite.load("4ELT", scale=0.25, seed=0), 8, o),
+        {"faults": "matching;refine;initial:2"},
+    ),
+    "msb": (lambda o: msb_partition(grid2d(32, 32), 8, o), {}),
+    "msb-kl": (
+        lambda o: msb_partition(grid2d(32, 32), 8, o, kl_refine=True),
+        {"faults": "refine"},
+    ),
+    "chaco-ml-lanczos": (
+        lambda o: chaco_ml_partition(grid2d(32, 32), 8, o),
+        {"faults": "lanczos"},
+    ),
+    "snd-lanczos": (lambda o: snd_ordering(grid2d(32, 32), o),
+                    {"faults": "lanczos"}),
+    "mlnd-deadline": (
+        lambda o: mlnd_ordering(grid2d(32, 32), o),
+        {"faults": "deadline", "deadline": 3600.0},
+    ),
+    "kway-workers": (
+        lambda o: partition(_stars(8, 60), 4, o),
+        {"workers": 2, "faults": "worker_crash;seed=1"},
+    ),
+    "mlnd-workers": (
+        lambda o: mlnd_ordering(_stars(8, 60), o),
+        {"workers": 2, "faults": "worker_crash;seed=1"},
+    ),
+}
+
+
+class TestReportTraceParity:
+    """One call records a degradation in both the report and the trace."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        for var in ("REPRO_FAULTS", "REPRO_TRACE", "REPRO_WORKERS"):
+            monkeypatch.delenv(var, raising=False)
+
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_every_report_event_is_one_trace_event(self, case, trace_path):
+        driver, fields = PARITY_CASES[case]
+        result = driver(DEFAULT_OPTIONS.with_(trace=trace_path, **fields))
+        report = (result.meta["resilience"] if hasattr(result, "meta")
+                  else result.resilience)
+        assert report
+        names = {event.trace_name for event in report}
+        traced = [
+            (r["name"], r["fields"]) for r in read_trace(trace_path)
+            if r["t"] == "event" and r["name"] in names
+        ]
+        assert traced == [(event.trace_name, event.fields) for event in report]
+        if fields.get("workers"):
+            # The root bisection stalls in this process, the two halves in
+            # pool workers whose reports are merged back.
+            assert report.count("stall", "coarsen") >= 3
+            assert report.count("retry", "worker") >= 1
+

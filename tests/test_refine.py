@@ -8,6 +8,7 @@ the faster of the two on a large mesh.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.gains import external_internal_degrees, make_gain_tables
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
+from repro.core.run import Run
 from repro.core.refine import (
     PassStats,
     _balance_key,
@@ -526,10 +528,11 @@ def test_policies_match_reference_passes(policy, eager, gain_table):
     where = rng.integers(0, 2, g.nvtxs).astype(np.int8)
     options = DEFAULT_OPTIONS.with_(eager_gains=eager, gain_table=gain_table)
     runs = []
-    for kernels in (None, _ReferenceKernels()):
+    reference = replace(Run.branch(options), kernels=_ReferenceKernels())
+    for run in (None, reference):
         b = Bisection.from_where(g, where.copy())
         stats = PassStats()
-        refine_bisection(g, b, policy, options, stats=stats, kernels=kernels)
+        refine_bisection(g, b, policy, options, stats=stats, run=run)
         runs.append((b, stats))
     (got, got_stats), (ref, ref_stats) = runs
     assert got.cut == ref.cut

@@ -17,6 +17,8 @@ Layers:
   resilience summary lines).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme, RefinePolicy
 from repro.core.run import Run
 from repro.graph import from_edge_list
+from repro.obs.tracer import open_tracer
 from repro.matrices import grid2d
 from repro.ordering import mlnd_ordering, snd_ordering
 from repro.ordering.nested_dissection import nested_dissection_ordering
@@ -244,16 +247,15 @@ class TestInitialFallbacks:
 
     def test_direct_initial_bisection_fallback(self):
         g = grid2d(8, 8)
-        report = ResilienceReport()
-        bis = initial_bisection(
-            g,
-            DEFAULT_OPTIONS.with_(initial=InitialScheme.SBP),
-            np.random.default_rng(1),
-            faults=FaultInjector("lanczos"),
-            report=report,
+        options = DEFAULT_OPTIONS.with_(
+            initial=InitialScheme.SBP, faults="lanczos"
         )
+        with Run.open(options) as run:
+            bis = initial_bisection(
+                g, options, np.random.default_rng(1), run=run
+            )
         assert_valid_bisection(g, bis)
-        assert report.count("fallback", "initial") == 1
+        assert run.report.count("fallback", "initial") == 1
 
     def test_no_fault_path_identical_results(self):
         g = grid2d(16, 16)
@@ -276,10 +278,35 @@ class TestCoarseningStall:
 
     def test_natural_stall_is_recorded(self):
         g = star_graph(400)  # maximal matchings match one edge at a time
-        report = ResilienceReport()
-        hierarchy = coarsen(g, DEFAULT_OPTIONS, report=report)
+        run = Run.branch(DEFAULT_OPTIONS)
+        hierarchy = coarsen(g, DEFAULT_OPTIONS, run=run)
         assert hierarchy.coarsest.nvtxs > DEFAULT_OPTIONS.coarsen_to
-        assert report.count("stall", "coarsen") >= 1
+        assert run.report.count("stall", "coarsen") >= 1
+
+    def test_phases_without_a_run_open_no_tracer_and_inject_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        def phases(g):
+            hierarchy = coarsen(g, DEFAULT_OPTIONS, np.random.default_rng(0))
+            bis = initial_bisection(
+                hierarchy.coarsest, DEFAULT_OPTIONS, np.random.default_rng(0)
+            )
+            return hierarchy.nlevels, hierarchy.coarsest.nvtxs, bis.where
+
+        for var in ("REPRO_FAULTS", "REPRO_TRACE"):
+            monkeypatch.delenv(var, raising=False)
+        graphs = (star_graph(400), grid2d(16, 16))
+        clean = [phases(g) for g in graphs]
+        trace = tmp_path / "t.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(trace))
+        monkeypatch.setenv("REPRO_FAULTS", "matching:*;initial:*")
+        for g, (nlevels, coarsest, where) in zip(graphs, clean):
+            got = phases(g)
+            assert got[:2] == (nlevels, coarsest)
+            assert np.array_equal(got[2], where)
+        assert clean[0][1] > DEFAULT_OPTIONS.coarsen_to  # the natural stall
+        assert clean[1][0] > 1  # an ambient matching fault would stop at 1
+        assert not trace.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +393,14 @@ class TestDeadlineIntegration:
         result = bisect(g, DEFAULT_OPTIONS.with_(faults="refine:*"))
         assert_valid_bisection(g, result.bisection)
         assert result.resilience.count("degradation", "refine") == result.nlevels
+
+    def test_refine_fault_degrades_a_policy_given_by_name(self):
+        # The CLI and the service pass the policy as a string.
+        g = grid2d(16, 16)
+        options = DEFAULT_OPTIONS.with_(faults="refine", refinement="bklgr")
+        result = bisect(g, options)
+        assert_valid_bisection(g, result.bisection)
+        assert result.resilience.count("degradation", "refine") == 1
 
     def test_refine_fault_noop_for_single_pass_policy(self):
         g = grid2d(16, 16)
@@ -482,6 +517,17 @@ class TestReport:
         assert report.summary().splitlines() == [
             "[fallback/initial@L2] sbp failed",
             "[retry/initial] reseeded",
+        ]
+
+    def test_traced_report_pickles_without_its_tracer(self, tmp_path):
+        tracer = open_tracer(str(tmp_path / "t.jsonl"))
+        report = ResilienceReport(tracer)
+        report.record("stall", "coarsen", "stalled", level=0, nvtxs=9)
+        clone = pickle.loads(pickle.dumps(report))
+        tracer.close()
+        assert report.tracer is tracer and clone.tracer is None
+        assert [(e.trace_name, e.fields) for e in clone] == [
+            ("coarsen.stall", {"nvtxs": 9})
         ]
 
     def test_merge(self):

@@ -502,6 +502,22 @@ class TestEndpoints:
         assert len(set(body["where"])) == 4
         assert body["timers"]  # phase timers came back
 
+    @pytest.mark.parametrize("kway_refine", [False, True])
+    def test_partition_names_the_kernel_of_each_phase(
+        self, server, kway_refine
+    ):
+        status, body = _request(
+            server.address, "POST", "/partition",
+            {"workload": {"name": "4ELT", "scale": 0.05, "seed": 0},
+             "nparts": 4, "kway_refine": kway_refine,
+             "options": {"kernels": "loop"}},
+        )
+        assert status == 200
+        assert body["kernels"] == {
+            "requested": "loop", "matching": "loop", "fm": "loop",
+            "contract": "loop",
+        }
+
     def test_order_endpoint(self, server):
         g = dumbbell_graph()
         status, body = _request(

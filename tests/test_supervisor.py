@@ -119,7 +119,8 @@ def _double_job(value, *, guard=None):
 
 
 class _RecordingSpan:
-    """A truthy stand-in span that keeps the events it receives."""
+    """A truthy stand-in span (or a report's tracer) that keeps the events
+    it receives."""
 
     def __init__(self):
         self.events = []
@@ -176,8 +177,8 @@ class TestBranchSupervisor:
         faults = fault_injector(
             DEFAULT_OPTIONS.with_(faults="worker_crash:1")
         )
-        report = ResilienceReport()
         span = _RecordingSpan()
+        report = ResilienceReport(tracer=span)
         with BranchSupervisor(
             2, report=report, span=span, faults=faults
         ) as sup:

@@ -12,7 +12,7 @@ from repro.core.options import (
     MultilevelOptions,
     RefinePolicy,
 )
-from repro.utils import PhaseTimer, Stopwatch, as_generator, spawn_child
+from repro.utils import PhaseTimer, as_generator, spawn_child
 
 
 class TestRng:
@@ -43,13 +43,6 @@ class TestRng:
 
 
 class TestTimers:
-    def test_stopwatch(self):
-        sw = Stopwatch()
-        time.sleep(0.01)
-        assert sw.elapsed() >= 0.009
-        sw.reset()
-        assert sw.elapsed() < 0.01
-
     def test_phase_timer_accumulates(self):
         t = PhaseTimer()
         with t.phase("a"):
