@@ -48,14 +48,14 @@ def bisect(g, options=None, seed=None, target0=None, **option_overrides):
     ``option_overrides`` are :class:`MultilevelOptions` field names, e.g.
     ``bisect(g, matching="rm", refinement="klr")``.
     """
-    options = _resolve_options(options, option_overrides)
+    options = (options or DEFAULT_OPTIONS).with_(**option_overrides)
     rng = np.random.default_rng(seed if seed is not None else options.seed)
     return _ml_bisect(g, options, rng, target0=target0)
 
 
 def partition(g, nparts, options=None, seed=None, **option_overrides):
     """Multilevel k-way partition of ``g`` by recursive bisection."""
-    options = _resolve_options(options, option_overrides)
+    options = (options or DEFAULT_OPTIONS).with_(**option_overrides)
     rng = np.random.default_rng(seed if seed is not None else options.seed)
     return _ml_partition(g, nparts, options, rng)
 
@@ -68,27 +68,9 @@ def nested_dissection(g, options=None, seed=None, **option_overrides):
     """
     from repro.ordering import mlnd_ordering
 
-    options = _resolve_options(options, option_overrides)
+    options = (options or DEFAULT_OPTIONS).with_(**option_overrides)
     rng = np.random.default_rng(seed if seed is not None else options.seed)
     return mlnd_ordering(g, options, rng)
-
-
-def _resolve_options(options, overrides):
-    if options is None:
-        options = DEFAULT_OPTIONS
-    if overrides:
-        # Let string shorthands through ("hem" → MatchingScheme.HEM, etc.).
-        coerced = {}
-        for key, value in overrides.items():
-            if key == "matching":
-                value = MatchingScheme(value)
-            elif key == "initial":
-                value = InitialScheme(value)
-            elif key == "refinement":
-                value = RefinePolicy(value)
-            coerced[key] = value
-        options = options.with_(**coerced)
-    return options
 
 
 __all__ = [

@@ -26,27 +26,25 @@ import numpy as np
 
 
 def _add_common_options(p):
+    from repro.core.options import DEFAULT_OPTIONS
     from repro.kernels import BACKENDS
 
-    p.add_argument("--seed", type=int, default=4242, help="RNG seed (default 4242)")
     p.add_argument(
-        "--matching",
-        default="hem",
-        choices=["rm", "hem", "lem", "hcm"],
-        help="coarsening matching scheme (default hem)",
+        "--seed", type=int, default=DEFAULT_OPTIONS.seed,
+        help="RNG seed (default %(default)s)",
     )
-    p.add_argument(
-        "--initial",
-        default="gggp",
-        choices=["sbp", "ggp", "gggp"],
-        help="coarsest-graph partitioner (default gggp)",
-    )
-    p.add_argument(
-        "--refinement",
-        default="bklgr",
-        choices=["none", "gr", "klr", "bgr", "bklr", "bklgr"],
-        help="refinement policy (default bklgr)",
-    )
+    for flag, what in (
+        ("matching", "coarsening matching scheme"),
+        ("initial", "coarsest-graph partitioner"),
+        ("refinement", "refinement policy"),
+    ):
+        default = getattr(DEFAULT_OPTIONS, flag)
+        p.add_argument(
+            f"--{flag}",
+            default=default.value,
+            choices=[member.value for member in type(default)],
+            help=f"{what} (default %(default)s)",
+        )
     p.add_argument(
         "--deadline",
         type=float,
@@ -61,9 +59,9 @@ def _add_common_options(p):
     p.add_argument(
         "--max-retries",
         type=int,
-        default=3,
+        default=DEFAULT_OPTIONS.max_init_retries,
         metavar="N",
-        help="reseeded retries of an invalid initial bisection (default 3)",
+        help="reseeded retries of an invalid initial bisection (default %(default)s)",
     )
     p.add_argument(
         "--trace",
@@ -111,12 +109,12 @@ def _add_common_options(p):
     p.add_argument(
         "--worker-retries",
         type=int,
-        default=2,
+        default=DEFAULT_OPTIONS.worker_retries,
         metavar="N",
         help=(
             "pool resubmissions of a crashed/timed-out branch before it "
-            "degrades to in-process sequential execution (default 2; see "
-            "docs/RESILIENCE.md)"
+            "degrades to in-process sequential execution (default "
+            "%(default)s; see docs/RESILIENCE.md)"
         ),
     )
 
@@ -313,7 +311,7 @@ def _cmd_partition(args) -> int:
     graph = read_graph(args.graph)
     options = _options_from(args)
     drive = partition_refined if args.kway_refine else partition
-    result = drive(graph, args.nparts, options, np.random.default_rng(args.seed))
+    result = drive(graph, args.nparts, options)
     print(f"graph:    {args.graph} ({graph.nvtxs} vertices, {graph.nedges} edges)")
     print(f"nparts:   {args.nparts}")
     print(f"edge-cut: {result.cut}")
@@ -341,13 +339,12 @@ def _cmd_order(args) -> int:
 
     graph = read_graph(args.graph)
     options = _options_from(args)
-    rng = np.random.default_rng(args.seed)
     if args.method == "mmd":
         ordering = mmd_ordering(graph)
     elif args.method == "snd":
-        ordering = snd_ordering(graph, options, rng)
+        ordering = snd_ordering(graph, options)
     else:
-        ordering = mlnd_ordering(graph, options, rng)
+        ordering = mlnd_ordering(graph, options)
     stats = factor_stats(graph, ordering.perm)
     print(f"graph:        {args.graph} ({graph.nvtxs} vertices, {graph.nedges} edges)")
     print(f"method:       {ordering.method}")

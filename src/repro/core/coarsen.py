@@ -143,7 +143,7 @@ def coarsen(
                 "coarsen.match",
                 level=level,
                 nvtxs=current.nvtxs,
-                scheme=MatchingScheme(options.matching).value,
+                scheme=options.matching.value,
                 impl=matching_backend,
             )
             if span
@@ -187,7 +187,7 @@ def coarsen(
             span.event(
                 "coarsen.level",
                 level=level,
-                scheme=MatchingScheme(options.matching).value,
+                scheme=options.matching.value,
                 nvtxs=coarse.nvtxs,
                 nedges=coarse.nedges,
                 **matching_stats(current, match),

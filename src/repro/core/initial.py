@@ -270,7 +270,7 @@ def initial_bisection(
     if target0 is None:
         target0 = total // 2
 
-    chain = FALLBACK_CHAINS[InitialScheme(options.initial)]
+    chain = FALLBACK_CHAINS[options.initial]
     first_attempt = True
     for scheme in chain:
         for attempt in range(options.max_init_retries + 1):

@@ -99,7 +99,7 @@ def partition(
     # Imbalance compounds multiplicatively down the ⌈log₂ k⌉ bisection
     # levels, so give each level the root of the overall tolerance.
     depth = max(1, int(np.ceil(np.log2(nparts)))) if nparts > 1 else 1
-    options = options.with_(ubfactor=float(options.ubfactor) ** (1.0 / depth))
+    options = options.with_(ubfactor=options.ubfactor ** (1.0 / depth))
     where = np.zeros(graph.nvtxs, dtype=np.int32)
     with Run.entry(
         run, options, "partition",

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.coarsen import CoarseningHierarchy, coarsen
 from repro.core.initial import initial_bisection
-from repro.core.options import DEFAULT_OPTIONS, InitialScheme, RefinePolicy
+from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
 from repro.core.refine import PassStats, refine_bisection
 from repro.core.run import Run
 from repro.graph.partition import Bisection, part_weights
@@ -96,7 +96,6 @@ _DEGRADE = {
 
 def _effective_policy(policy, run, level):
     """The refinement policy to run at ``level``, degraded when necessary."""
-    policy = RefinePolicy(policy)  # the CLI and the service pass its name
     degraded = _DEGRADE.get(policy)
     if degraded is None:
         return policy
@@ -257,7 +256,7 @@ def _vcycle(graph, options, rng, refine_at, *, target0=None, hierarchy=None,
             )
             if sp:
                 sp.set(
-                    scheme=InitialScheme(options.initial).value,
+                    scheme=options.initial.value,
                     cut=int(bisection.cut),
                 )
         initial_cut = bisection.cut

@@ -11,14 +11,16 @@ paper's chosen default:
 * KL early-exit — x = 50 ("The choice of x = 50 works quite well", §3.3).
 """
 
-from __future__ import annotations
-
-import os
-from dataclasses import dataclass, field, replace
+# No ``from __future__`` annotations: fields are typed by their live annotations.
+import math
+from contextlib import suppress
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
+from typing import get_args
 
-from repro.kernels import BACKENDS
+from repro.kernels import BACKENDS, requested_backend
+from repro.resilience.faults import faults_enabled, parse_fault_spec
 from repro.utils.errors import ConfigurationError
 
 
@@ -57,8 +59,8 @@ class MultilevelOptions:
     Attributes
     ----------
     matching, initial, refinement:
-        Phase selections; defaults are the paper's recommended combination
-        (HEM + GGGP + BKLGR).
+        Phase selections, each a member or its name; defaults are the
+        paper's recommended combination (HEM + GGGP + BKLGR).
     coarsen_to:
         Stop coarsening once the graph has at most this many vertices.
     coarsen_stall_ratio:
@@ -187,6 +189,9 @@ class MultilevelOptions:
         return replace(self, **kwargs)
 
     def __post_init__(self):
+        """Type every field by its annotation, then check the ranges."""
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f, getattr(self, f.name)))
         if self.coarsen_to < 2:
             raise ConfigurationError("coarsen_to must be at least 2")
         if not (0.0 < self.coarsen_stall_ratio <= 1.0):
@@ -213,18 +218,45 @@ class MultilevelOptions:
             raise ConfigurationError("deadline must be positive when set")
         if self.max_init_retries < 0:
             raise ConfigurationError("max_init_retries must be >= 0")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
-                or self.seed < 0):
+        if self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a non-negative int, got {self.seed!r}"
             )
         if self.faults is not None:
             # Validate eagerly so a bad spec fails at configuration time,
-            # not halfway through a partition.  Local import: resilience
-            # depends only on utils, so there is no cycle.
-            from repro.resilience.faults import parse_fault_spec
-
+            # not halfway through a partition.
             parse_fault_spec(self.faults)
+
+
+#: Scalar field type -> (the types it allows, how an error names it).
+_SCALARS = {
+    int: (Integral, "an int"),
+    float: (Real, "a finite number"),
+    bool: (bool, "a bool"),
+    str: (str, "a string"),
+}
+
+
+def _typed(f, value):
+    """``value`` as field ``f`` stores it, or a ``ConfigurationError``."""
+    optional = type(None) in get_args(f.type)  # annotated ``X | None``
+    kind = get_args(f.type)[0] if optional else f.type
+    if value is None and optional:
+        return value
+    if issubclass(kind, Enum):
+        with suppress(ValueError):
+            return kind(value)
+        expected = "one of " + ", ".join(member.value for member in kind)
+    else:
+        allowed, expected = _SCALARS[kind]
+        # A bool is an Integral, but only a bool field takes one.
+        if isinstance(value, allowed) and (kind is bool or not isinstance(value, bool)):
+            with suppress(OverflowError):  # an int past the float range
+                if kind is not float or math.isfinite(value):
+                    return kind(value)
+    if optional:
+        expected += " or None"
+    raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
 
 
 #: The paper's recommended configuration (HEM + GGGP + BKLGR).
@@ -270,18 +302,7 @@ def cache_key_payload(options: MultilevelOptions) -> dict:
     serialize as their string values; key order is fixed by
     :data:`CACHE_KEY_FIELDS`.
     """
-    payload = {}
-    for name in CACHE_KEY_FIELDS:
-        value = getattr(options, name)
-        if isinstance(value, Enum):
-            value = value.value
-        payload[name] = value
-    kernels = options.kernels
-    if kernels is None:
-        kernels = os.environ.get("REPRO_KERNELS", "").strip() or None
-    payload["kernels"] = kernels
-    faults = options.faults
-    if faults is None:
-        faults = os.environ.get("REPRO_FAULTS", "").strip() or None
-    payload["faults"] = faults
+    payload = {name: getattr(options, name) for name in CACHE_KEY_FIELDS}
+    payload["kernels"] = requested_backend(options)
+    payload["faults"] = options.faults or faults_enabled()
     return payload

@@ -47,6 +47,7 @@ __all__ = [
     "ENV_VAR",
     "KernelChoice",
     "KernelSelection",
+    "requested_backend",
     "resolve_kernels",
     "kway_kernel",
     "numba_available",
@@ -217,17 +218,21 @@ def _select(phase: str, requested: str) -> KernelChoice:
     )
 
 
+def requested_backend(options=None, env=None) -> str | None:
+    """The backend ``options.kernels`` or ``REPRO_KERNELS`` asks for, or ``None``."""
+    if options is not None and getattr(options, "kernels", None):
+        return options.kernels
+    environ = env if env is not None else os.environ
+    return environ.get(ENV_VAR, "").strip() or None
+
+
 def resolve_kernels(options=None, env=None) -> KernelSelection:
     """Resolve the per-phase backend selection for one driver entry.
 
     Precedence: ``options.kernels`` > the ``REPRO_KERNELS`` environment
     variable > ``loop`` everywhere.
     """
-    environ = env if env is not None else os.environ
-    if options is not None and getattr(options, "kernels", None):
-        requested = options.kernels
-    else:
-        requested = environ.get(ENV_VAR) or "loop"
+    requested = requested_backend(options, env) or "loop"
     if requested not in _BACKENDS:
         raise ConfigurationError(
             f"unknown kernel backend {requested!r}; expected one of "

@@ -150,12 +150,9 @@ def parse_fault_spec(spec: str) -> FaultPlan:
         if not token:
             continue
         if token.startswith("seed="):
-            try:
-                seed = int(token[len("seed="):])
-            except ValueError:
-                raise ConfigurationError(
-                    f"invalid fault-spec seed clause {raw!r}"
-                ) from None
+            if not token[len("seed="):].isdecimal():  # a seed is never negative
+                raise ConfigurationError(f"invalid fault-spec seed clause {raw!r}")
+            seed = int(token[len("seed="):])
             continue
         m = _CLAUSE_RE.match(token)
         if not m:

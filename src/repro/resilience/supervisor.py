@@ -104,7 +104,7 @@ _FAULT_KINDS = (
 def resolve_workers(options=None) -> int:
     """Effective worker count: option field, else ``REPRO_WORKERS``, else 1."""
     if options is not None and getattr(options, "workers", None) is not None:
-        return int(options.workers)
+        return options.workers
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return 1
@@ -122,7 +122,7 @@ def resolve_workers(options=None) -> int:
 def resolve_worker_timeout(options=None):
     """Per-branch timeout: option field, else ``REPRO_WORKER_TIMEOUT``, else None."""
     if options is not None and getattr(options, "worker_timeout", None) is not None:
-        return float(options.worker_timeout)
+        return options.worker_timeout
     raw = os.environ.get(WORKER_TIMEOUT_ENV, "").strip()
     if not raw:
         return None

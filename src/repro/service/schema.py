@@ -108,8 +108,7 @@ def parse_options(obj) -> MultilevelOptions:
         )
     try:
         return DEFAULT_OPTIONS.with_(**obj)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        # TypeError: a value of the wrong type met a range check.
+    except ConfigurationError as exc:
         raise ServiceRequestError(f"invalid options: {exc}") from exc
 
 

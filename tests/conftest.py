@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,26 @@ def grid16():
 @pytest.fixture
 def dumbbell():
     return dumbbell_graph()
+
+
+# ---------------------------------------------------------------------------
+# timing
+# ---------------------------------------------------------------------------
+def interleaved_best(reference, candidate, repeats):
+    """Best wall time and last result of two calls, timed in turn.
+
+    ``reference()`` and ``candidate()`` alternate ``repeats`` times each,
+    so a burst of host load slows both sides rather than one block of
+    runs.  Each call builds its own inputs.  Returns
+    ``((t_reference, reference_result), (t_candidate, candidate_result))``.
+    """
+    best, results = [float("inf")] * 2, [None] * 2
+    for _ in range(repeats):
+        for side, call in enumerate((reference, candidate)):
+            t0 = time.perf_counter()
+            results[side] = call()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return (best[0], results[0]), (best[1], results[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import partition
+from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.graph import write_graph
-from repro.matrices import grid2d
+from repro.matrices import grid2d, load
 
 
 @pytest.fixture
@@ -46,6 +48,20 @@ class TestPartition:
             "--matching", "rm", "--initial", "ggp", "--refinement", "klr",
             "--seed", "7",
         ]) == 0
+
+    def test_hcm_by_name_runs_the_enum_path(self, tmp_path, capsys):
+        # §3.1's HCM needs the collapsed edge weights at every level; the
+        # CLI passes the scheme by name and must still run it.
+        graph = load("4ELT", scale=0.25, seed=1)
+        path, out_file = tmp_path / "4elt.graph", tmp_path / "part.txt"
+        write_graph(graph, path)
+        assert main([
+            "partition", str(path), "8", "--matching", "hcm", "-o", str(out_file),
+        ]) == 0
+        expected = partition(
+            graph, 8, DEFAULT_OPTIONS.with_(matching=MatchingScheme.HCM)
+        )
+        assert np.array_equal(np.loadtxt(out_file, dtype=int), expected.where)
 
     def test_deterministic_output(self, graph_file, capsys):
         def quality_lines(text):

@@ -8,8 +8,6 @@ formulations they replaced; a hypothesis sweep asserts equal arrays and
 dtypes, and a ``perf``-marked class that each rewrite is the faster one.
 """
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +24,7 @@ from repro.graph import (
 )
 from repro.graph.csr import INDEX_DTYPE
 from repro.matrices import grid2d
-from tests.conftest import path_graph, two_triangles
+from tests.conftest import interleaved_best, path_graph, two_triangles
 from tests.test_properties import graphs
 
 
@@ -249,22 +247,16 @@ class TestReferenceOracle:
             )
 
 
-def _best_time(fn, *args, repeats=3):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 @pytest.mark.perf
 class TestSpeed:
     def test_extraction_10x_over_reference(self):
         graph = grid2d(320, 320)
         half = np.flatnonzero(np.arange(graph.nvtxs) < graph.nvtxs // 2)
-        t_ref, ref = _best_time(_reference_extract_subgraph, graph, half)
-        t_new, got = _best_time(extract_subgraph, graph, half)
+        (t_ref, ref), (t_new, got) = interleaved_best(
+            lambda: _reference_extract_subgraph(graph, half),
+            lambda: extract_subgraph(graph, half),
+            repeats=3,
+        )
         _assert_same_subgraph(got, ref)
         assert t_ref / t_new >= 10, (
             f"extract_subgraph only {t_ref / t_new:.1f}x faster than the "
@@ -273,8 +265,11 @@ class TestSpeed:
 
     def test_labelling_2x_over_reference(self):
         graph = grid2d(320, 320)
-        t_ref, ref = _best_time(_reference_connected_components, graph)
-        t_new, got = _best_time(connected_components, graph)
+        (t_ref, ref), (t_new, got) = interleaved_best(
+            lambda: _reference_connected_components(graph),
+            lambda: connected_components(graph),
+            repeats=3,
+        )
         _assert_same_array(got, ref)
         assert t_ref / t_new >= 2, (
             f"connected_components only {t_ref / t_new:.1f}x faster than "

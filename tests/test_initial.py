@@ -7,8 +7,6 @@ replaced; a hypothesis sweep asserts the two are bit-identical (RNG
 consumption included), and a ``perf``-marked test that the heap is faster.
 """
 
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +28,7 @@ from repro.utils.rng import as_generator
 from tests.conftest import (
     assert_valid_bisection,
     dumbbell_graph,
+    interleaved_best,
     path_graph,
     random_graph,
     two_triangles,
@@ -240,17 +239,11 @@ class TestReferenceOracle:
 class TestSpeed:
     def test_gggp_4x_over_reference(self):
         graph = grid2d(64, 64)
-
-        def run(impl):
-            best, result = float("inf"), None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                result = impl(graph, None, np.random.default_rng(0))
-                best = min(best, time.perf_counter() - t0)
-            return best, result
-
-        t_ref, ref = run(_reference_gggp_bisection)
-        t_new, got = run(gggp_bisection)
+        (t_ref, ref), (t_new, got) = interleaved_best(
+            lambda: _reference_gggp_bisection(graph, None, np.random.default_rng(0)),
+            lambda: gggp_bisection(graph, None, np.random.default_rng(0)),
+            repeats=3,
+        )
         _assert_same_bisection(got, ref)
         assert t_ref / t_new >= 4, (
             f"gggp_bisection only {t_ref / t_new:.1f}x faster than the "

@@ -253,7 +253,13 @@ class TestLoopGolden:
             g, 5, DEFAULT_OPTIONS.with_(matching="hcm", gain_table="bucket"),
             np.random.default_rng(3),
         )
-        assert p.cut == 101
+        assert p.cut == 111
+        member = partition(
+            g, 5,
+            DEFAULT_OPTIONS.with_(matching=MatchingScheme.HCM, gain_table="bucket"),
+            np.random.default_rng(3),
+        )
+        assert np.array_equal(p.where, member.where)
 
     def test_explicit_loop_request_matches_default(self):
         g = load("4ELT", scale=0.2, seed=0)

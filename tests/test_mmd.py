@@ -23,6 +23,7 @@ from repro.ordering import Ordering, factor_stats, mlnd_ordering, mmd_ordering
 from tests.conftest import (
     complete_graph,
     cycle_graph,
+    interleaved_best,
     path_graph,
     random_graph,
     star_graph,
@@ -335,17 +336,11 @@ class TestSpeed:
     def test_mmd_1_5x_over_reference_on_a_leaf(self):
         # MLND's default leaf size is 120 vertices.
         graph = grid2d(12, 10)
-
-        def run(impl):
-            best, result = float("inf"), None
-            for _ in range(10):
-                t0 = time.perf_counter()
-                result = impl(graph)
-                best = min(best, time.perf_counter() - t0)
-            return best, result
-
-        t_ref, ref = run(_reference_mmd_ordering)
-        t_new, got = run(mmd_ordering)
+        (t_ref, ref), (t_new, got) = interleaved_best(
+            lambda: _reference_mmd_ordering(graph),
+            lambda: mmd_ordering(graph),
+            repeats=10,
+        )
         _assert_same_ordering(got, ref)
         assert t_ref / t_new >= 1.5, (
             f"mmd_ordering only {t_ref / t_new:.2f}x faster than the "
@@ -357,17 +352,11 @@ class TestSpeed:
         # measured against.
         graph = suite.load("BCSSTK31", scale=0.25, seed=1)
         options = DEFAULT_OPTIONS.with_(workers=1)
-
-        def best(run):
-            times = []
-            for _ in range(3):
-                t0 = time.perf_counter()
-                run()
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t_mmd = best(lambda: mmd_ordering(graph))
-        t_mlnd = best(lambda: mlnd_ordering(graph, options))
+        (t_mlnd, _), (t_mmd, _) = interleaved_best(
+            lambda: mlnd_ordering(graph, options),
+            lambda: mmd_ordering(graph),
+            repeats=3,
+        )
         assert t_mmd < t_mlnd, f"MMD {t_mmd:.3f}s, MLND {t_mlnd:.3f}s"
 
     def test_deadline_bounds_mlnd(self):

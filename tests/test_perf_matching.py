@@ -6,8 +6,6 @@ reference of ``tests/test_matching.py`` by a wide margin on large graphs
 while returning the same matching — asserted by a ``perf``-marked test.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.kernels import resolve_kernels
 from repro.matrices import grid2d
 from repro.utils.errors import ConfigurationError
-from tests.conftest import random_graph
+from tests.conftest import interleaved_best, random_graph
 from tests.test_matching import _reference_matching
 
 
@@ -66,17 +64,14 @@ class TestKernelSpeed:
         graph = grid2d(320, 320)  # 102 400 vertices
         assert graph.nvtxs >= 100_000
 
-        def run(kernel):
-            rng = np.random.default_rng(7)
-            best = float("inf")
-            for _ in range(2):
-                t0 = time.perf_counter()
-                match = kernel(graph, MatchingScheme.HEM, rng)
-                best = min(best, time.perf_counter() - t0)
-            return best, match
-
-        t_ref, ref = run(_reference_matching)
-        t_loop, match = run(matching_kernel("loop"))
+        loop = matching_kernel("loop")
+        (t_ref, ref), (t_loop, match) = interleaved_best(
+            lambda: _reference_matching(
+                graph, MatchingScheme.HEM, np.random.default_rng(7)
+            ),
+            lambda: loop(graph, MatchingScheme.HEM, np.random.default_rng(7)),
+            repeats=2,
+        )
         assert np.array_equal(match, ref)
         assert t_ref / t_loop >= 3.0, (
             f"loop HEM only {t_ref / t_loop:.2f}x faster than the reference "

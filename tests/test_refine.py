@@ -7,7 +7,6 @@ two are bit-identical, and a ``perf``-marked test that the scalar scan is
 the faster of the two on a large mesh.
 """
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.matrices import grid2d
 from tests.conftest import (
     assert_valid_bisection,
     dumbbell_graph,
+    interleaved_best,
     path_graph,
     random_graph,
 )
@@ -551,19 +551,16 @@ class TestKernelSpeed:
         cap = int(np.ceil(1.05 * g.total_vwgt() / 2))
 
         def run(impl):
-            best = float("inf")
-            for _ in range(2):
-                where, pwgts, cut = make_state(g, where0)
-                t0 = time.perf_counter()
-                result = impl(
-                    g, where, pwgts, (cap, cap), cut,
-                    boundary_only=False, early_exit=100,
-                )
-                best = min(best, time.perf_counter() - t0)
-            return best, (result, where, pwgts)
+            where, pwgts, cut = make_state(g, where0)
+            result = impl(
+                g, where, pwgts, (cap, cap), cut,
+                boundary_only=False, early_exit=100,
+            )
+            return result, where, pwgts
 
-        t_ref, ref = run(_reference_fm_pass)
-        t_loop, got = run(fm_pass)
+        (t_ref, ref), (t_loop, got) = interleaved_best(
+            lambda: run(_reference_fm_pass), lambda: run(fm_pass), repeats=2
+        )
         assert got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])
         assert np.array_equal(got[2], ref[2])

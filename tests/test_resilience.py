@@ -106,6 +106,7 @@ class TestFaultSpec:
             "lanczos;lanczos",  # duplicate site
             "seed=7",  # no fault clause
             "seed=x;lanczos",  # bad seed
+            "lanczos;seed=-1",  # negative seed: no generator takes it
             "",
             "lanczos:*:*",
         ],

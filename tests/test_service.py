@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 
@@ -39,9 +41,13 @@ from repro.core import partition as local_partition
 from repro.core.options import (
     CACHE_KEY_FIELDS,
     DEFAULT_OPTIONS,
+    InitialScheme,
+    MatchingScheme,
     MultilevelOptions,
+    RefinePolicy,
     cache_key_payload,
 )
+from repro.matrices import grid2d
 from repro.obs import read_trace
 from repro.service import (
     BackgroundServer,
@@ -352,6 +358,59 @@ def _edge(**fields) -> dict:
     return {"xadj": [0, 1, 2], "adjncy": [1, 0], **fields}
 
 
+#: Valid values per option field, kept small so that no example starts a
+#: worker process, hangs or runs long: in-process runs, few trials and
+#: passes, and no fault spec but ``lanczos``.  ``trace`` is service-owned.
+_VALID_OPTION_VALUES = {
+    "matching": [member.value for member in MatchingScheme],
+    "initial": [member.value for member in InitialScheme],
+    "refinement": [member.value for member in RefinePolicy],
+    "coarsen_to": [2, 100],
+    "coarsen_stall_ratio": [0.5, 1],
+    "max_coarsen_levels": [1, 40],
+    "ggp_trials": [1, 5],
+    "gggp_trials": [1, 5],
+    "kl_early_exit": [1, 50],
+    "max_kl_passes": [1, 5],
+    "ubfactor": [1.0, 1.1, 2],
+    "bklgr_boundary_fraction": [0.0, 0.02, 1],
+    "eager_gains": [True, False],
+    "gain_table": ["heap", "bucket"],
+    "kernels": [None, "loop", "numba"],
+    "workers": [None, 1],
+    "worker_timeout": [None, 1.0],
+    "worker_retries": [0, 2],
+    "seed": [0, 7, 2**40],
+    "sanitize": [True, False],
+    "faults": [None, "lanczos"],
+    "trace": ["-"],
+    "deadline": [None, 0.001, 5],
+    "max_init_retries": [0, 3],
+}
+
+#: Wrong-typed JSON, non-finite numbers and near-miss names.
+_WRONG_OPTION_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+    st.sampled_from([0.5, -3.25, float("inf"), float("-inf"), float("nan")]),
+    st.sampled_from(["HEM", "hem ", "Heap", "bklg", "loop ", "lanczos:0",
+                     "lanczos;seed=-1", "seed=1", "lanczos@2"]),
+)
+
+
+@st.composite
+def _option_objects(draw):
+    fields = [f.name for f in dataclasses.fields(MultilevelOptions)]
+    keys = draw(st.lists(st.sampled_from(fields), unique=True, max_size=4))
+    return {
+        key: draw(st.sampled_from(_VALID_OPTION_VALUES[key]) | _WRONG_OPTION_VALUES)
+        for key in keys
+    }
+
+
 class TestHostileValues:
     """Values of the wrong type or range are a 400 and leave the service
     healthy; none reaches a NumPy cast or a job."""
@@ -392,8 +451,14 @@ class TestHostileValues:
 
     @pytest.mark.parametrize(
         "options",
-        [{"seed": "5"}, {"seed": 5.5}, {"seed": -1}, {"ubfactor": "x"}],
-        ids=["seed-str", "seed-float", "seed-negative", "ubfactor-str"],
+        [{"seed": "5"}, {"seed": 5.5}, {"seed": -1}, {"ubfactor": "x"},
+         {"matching": "xyz"}, {"initial": "xyz"}, {"refinement": "xyz"},
+         {"eager_gains": "no"}, {"sanitize": "no"}, {"workers": True},
+         {"ubfactor": float("inf")}, {"coarsen_to": 1e300}],
+        ids=["seed-str", "seed-float", "seed-negative", "ubfactor-str",
+             "matching-xyz", "initial-xyz", "refinement-xyz",
+             "eager_gains-str", "sanitize-str", "workers-bool",
+             "ubfactor-inf", "coarsen_to-float"],
     )
     def test_option_value(self, service, options):
         status, payload = self._post(
@@ -401,6 +466,15 @@ class TestHostileValues:
         )
         assert status == 400, payload
         assert "invalid options" in payload["error"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(options=_option_objects())
+    def test_options_fuzz_is_200_or_400(self, service, options):
+        status, payload = self._post(
+            service,
+            {"graph": _inline(grid2d(12, 12)), "nparts": 2, "options": options},
+        )
+        assert status in (200, 400), (options, payload)
 
     @pytest.mark.parametrize(
         "workload",
@@ -607,6 +681,24 @@ class TestEndpoints:
         )
         assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
         assert b"invalid JSON body" in reply
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+
+    @pytest.mark.parametrize(
+        "options", [{"matching": "xyz"}, {"eager_gains": "no"}],
+        ids=["unknown-name", "wrong-type"],
+    )
+    def test_bad_option_value_is_400(self, server, options):
+        raw = json.dumps({
+            "workload": {"name": "4ELT", "scale": 0.05}, "nparts": 2,
+            "options": options,
+        }).encode()
+        reply = self._raw_exchange(
+            server.address,
+            b"POST /partition HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+            + f"Content-Length: {len(raw)}\r\n\r\n".encode() + raw,
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply[:200]
+        assert b"invalid options: " + next(iter(options)).encode() in reply
         assert _request(server.address, "GET", "/healthz")[0] == 200
 
     def test_negative_content_length_is_400(self, server):

@@ -13,6 +13,7 @@ from repro.core.options import (
     RefinePolicy,
 )
 from repro.utils import PhaseTimer, as_generator, spawn_child
+from repro.utils.errors import ConfigurationError
 
 
 class TestRng:
@@ -168,7 +169,7 @@ class TestTopLevelApi:
         o.verify()
 
     def test_override_coercion_errors(self, grid8):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="^matching must be one of"):
             repro.partition(grid8, 2, matching="bogus")
 
     def test_lazy_subpackages(self):
