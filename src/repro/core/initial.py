@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.options import DEFAULT_OPTIONS, InitialScheme
 from repro.core.run import Run
-from repro.graph.partition import Bisection, edge_cut, part_weights
+from repro.graph.partition import Bisection, edge_cut, part_weights, weight_cap
 from repro.utils.errors import PartitionError, SpectralConvergenceError
 from repro.utils.rng import as_generator, spawn_child
 
@@ -226,7 +226,7 @@ def initial_defect(graph, bisection, target0, ubfactor) -> str | None:
         return "an empty side"
     total = int(graph.total_vwgt())
     target1 = total - target0
-    cap = int(np.ceil(ubfactor * max(target0, target1))) + int(graph.vwgt.max())
+    cap = weight_cap(ubfactor * max(target0, target1), total) + int(graph.vwgt.max())
     if int(pwgts.max()) > cap:
         return f"gross imbalance (pwgts={pwgts.tolist()}, cap={cap})"
     return None

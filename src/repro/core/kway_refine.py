@@ -35,6 +35,7 @@ from repro.graph.partition import (
     boundary_mask,
     edge_cut,
     part_weights,
+    weight_cap,
 )
 from repro.kernels import kway_kernel
 from repro.utils.rng import as_generator
@@ -141,7 +142,8 @@ def refine_kway(
         return partition
     where = partition.where
     pwgts = part_weights(graph, where, k)
-    maxpwgt = int(np.ceil(options.ubfactor * graph.total_vwgt() / k))
+    total = graph.total_vwgt()
+    maxpwgt = weight_cap(options.ubfactor * total / k, total)
     cut = partition.cut
 
     with Run.entry(run, options, "kway-refine", nvtxs=n, nparts=k) as run:

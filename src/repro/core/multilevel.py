@@ -32,7 +32,7 @@ from repro.core.initial import initial_bisection
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
 from repro.core.refine import PassStats, refine_bisection
 from repro.core.run import Run
-from repro.graph.partition import Bisection, part_weights
+from repro.graph.partition import Bisection, part_weights, weight_cap
 from repro.resilience.report import ResilienceReport
 from repro.utils.errors import PartitionError
 from repro.utils.rng import as_generator
@@ -162,9 +162,9 @@ def _targets(graph, options, target0):
         target0 = total // 2
     if not (0 < target0 < total):
         raise PartitionError(f"target0 must be in (0, {total}); got {target0}")
-    caps = (np.ceil(options.ubfactor * target0),
-            np.ceil(options.ubfactor * (total - target0)))
-    return target0, tuple(int(c) for c in caps)
+    caps = (weight_cap(options.ubfactor * target0, total),
+            weight_cap(options.ubfactor * (total - target0), total))
+    return target0, caps
 
 
 def _every_level(level, coarsest):

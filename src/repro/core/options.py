@@ -191,7 +191,9 @@ class MultilevelOptions:
     def __post_init__(self):
         """Type every field by its annotation, then check the ranges."""
         for f in fields(self):
-            object.__setattr__(self, f.name, _typed(f, getattr(self, f.name)))
+            object.__setattr__(
+                self, f.name, typed_value(f.name, f.type, getattr(self, f.name))
+            )
         if self.coarsen_to < 2:
             raise ConfigurationError("coarsen_to must be at least 2")
         if not (0.0 < self.coarsen_stall_ratio <= 1.0):
@@ -237,10 +239,16 @@ _SCALARS = {
 }
 
 
-def _typed(f, value):
-    """``value`` as field ``f`` stores it, or a ``ConfigurationError``."""
-    optional = type(None) in get_args(f.type)  # annotated ``X | None``
-    kind = get_args(f.type)[0] if optional else f.type
+def typed_value(name: str, annotation, value):
+    """``value`` as a field ``name`` annotated ``annotation`` stores it.
+
+    An enum name becomes its member and an integral value an ``int``; a
+    bool is only a bool, and a float must be finite.  Anything else is a
+    :class:`ConfigurationError` naming the field.  The options type their
+    fields with it, and the service its request parameters.
+    """
+    optional = type(None) in get_args(annotation)  # annotated ``X | None``
+    kind = get_args(annotation)[0] if optional else annotation
     if value is None and optional:
         return value
     if issubclass(kind, Enum):
@@ -256,7 +264,7 @@ def _typed(f, value):
                     return kind(value)
     if optional:
         expected += " or None"
-    raise ConfigurationError(f"{f.name} must be {expected}, got {value!r}")
+    raise ConfigurationError(f"{name} must be {expected}, got {value!r}")
 
 
 #: The paper's recommended configuration (HEM + GGGP + BKLGR).
@@ -297,12 +305,24 @@ def cache_key_payload(options: MultilevelOptions) -> dict:
     payload exactly when they are guaranteed to produce bit-identical
     partitions on the same graph.  Fields that defer to environment
     variables (``kernels`` → ``REPRO_KERNELS``, ``faults`` →
-    ``REPRO_FAULTS``) are resolved here, because the ambient value changes
-    the result bits just as surely as the explicit one.  Enum fields
-    serialize as their string values; key order is fixed by
-    :data:`CACHE_KEY_FIELDS`.
+    ``REPRO_FAULTS``) are resolved here from :func:`ambient_key_inputs`,
+    because the ambient value changes the result bits just as surely as the
+    explicit one.  Enum fields serialize as their string values; key order
+    is fixed by :data:`CACHE_KEY_FIELDS`.
     """
     payload = {name: getattr(options, name) for name in CACHE_KEY_FIELDS}
-    payload["kernels"] = requested_backend(options)
-    payload["faults"] = options.faults or faults_enabled()
+    ambient = ambient_key_inputs()
+    payload["kernels"] = options.kernels or ambient["kernels"]
+    payload["faults"] = options.faults or ambient["faults"]
     return payload
+
+
+def ambient_key_inputs() -> dict:
+    """What the cache key reads from outside a request: the process's
+    ``REPRO_KERNELS`` and ``REPRO_FAULTS``, through the helpers the run
+    itself resolves them with.
+
+    :func:`cache_key_payload` and the service's raw-body memo both read
+    it, so a changed variable moves both, and they cannot drift apart.
+    """
+    return {"kernels": requested_backend(None), "faults": faults_enabled()}

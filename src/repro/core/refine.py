@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.gains import external_internal_degrees, make_gain_tables
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
 from repro.core.run import Run
-from repro.graph.partition import Bisection
+from repro.graph.partition import Bisection, weight_cap
 
 
 @dataclass
@@ -364,7 +364,7 @@ def refine_bisection(
         return bisection
     total = graph.total_vwgt()
     if maxpwgt is None:
-        cap = int(np.ceil(options.ubfactor * total / 2.0))
+        cap = weight_cap(options.ubfactor * total / 2.0, total)
         maxpwgt = (cap, cap)
     if original_nvtxs is None:
         original_nvtxs = graph.nvtxs

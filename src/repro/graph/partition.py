@@ -87,6 +87,17 @@ def part_weights(graph, where, nparts=None) -> np.ndarray:
     )
 
 
+def weight_cap(bound: float, total: int) -> int:
+    """The part-weight cap ``⌈bound⌉`` (a ``ubfactor ×`` target), clamped
+    at the graph's total vertex weight ``total``.
+
+    No part can weigh more than ``total``, so the clamp changes no
+    comparison against a part weight; it keeps a huge ``ubfactor`` from
+    overflowing to ``int(inf)``.
+    """
+    return int(min(np.ceil(bound), total))
+
+
 def boundary_mask(graph, where) -> np.ndarray:
     """Boolean mask of boundary vertices.
 

@@ -16,9 +16,9 @@ Before any of that, the constructor passes each array through
 would hide: non-integer dtypes (floats truncate, strings parse) and
 values outside the storage dtype (they wrap).
 
-Validation is O(m log m) (it sorts each adjacency list), so internal callers
-skip it on graphs produced by trusted kernels; the test suite exercises it
-heavily instead.
+Validation is O(m log m) (it sorts the directed entries by one fused
+integer key per direction), so internal callers skip it on graphs produced
+by trusted kernels; the test suite exercises it heavily instead.
 """
 
 from __future__ import annotations
@@ -109,32 +109,32 @@ def validate_graph(graph) -> None:
     if np.any(src == adjncy):
         raise GraphValidationError("self-loops are not allowed")
 
-    # Duplicate neighbours: sort (src, dst) pairs and look for equal rows.
-    order = np.lexsort((adjncy, src))
-    s_sorted = src[order]
-    d_sorted = adjncy[order]
-    dup = (s_sorted[1:] == s_sorted[:-1]) & (d_sorted[1:] == d_sorted[:-1])
+    # Each directed entry (u, v) as the fused key u·n + v, below n² (which
+    # fits int64 up to 3·10^9 vertices); its order is the (u, v) order.
+    # Duplicate neighbours are equal neighbouring keys once sorted.
+    dst = adjncy.astype(np.int64)
+    key = src * n + dst
+    order = np.argsort(key)
+    fwd = key[order]
+    dup = fwd[1:] == fwd[:-1]
     if np.any(dup):
-        i = int(np.flatnonzero(dup)[0])
+        u, v = divmod(int(fwd[int(np.flatnonzero(dup)[0])]), n)
         raise GraphValidationError(
-            f"vertex {int(s_sorted[i])} has duplicate neighbour "
-            f"{int(d_sorted[i])} in its adjacency list"
+            f"vertex {u} has duplicate neighbour {v} in its adjacency list"
         )
 
-    # Symmetry with matching weights: the multiset of (u, v, w) directed
-    # triples must be invariant under swapping u and v.  Compare the sorted
-    # forward table against the sorted reversed table.
-    w_sorted = adjwgt[order]
-    rorder = np.lexsort((src, adjncy))
-    rs = adjncy[rorder].astype(np.int64)
-    rd = src[rorder]
-    rw = adjwgt[rorder]
-    d64 = d_sorted.astype(np.int64)
-    bad = (s_sorted != rs) | (d64 != rd) | (w_sorted != rw)
+    # Symmetry with matching weights: the set of (u, v, w) directed triples
+    # must be invariant under swapping u and v.  The keys are distinct, so
+    # the sorted forward table and the sorted table of reversed keys v·n + u
+    # agree entry for entry exactly when the graph is symmetric.
+    rkey = dst * n + src
+    rorder = np.argsort(rkey)
+    w_fwd = adjwgt[order]
+    bad = (fwd != rkey[rorder]) | (w_fwd != adjwgt[rorder])
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
+        u, v = divmod(int(fwd[i]), n)
         raise GraphValidationError(
             "adjacency is not symmetric with equal weights: edge "
-            f"({int(s_sorted[i])}, {int(d64[i])}, w={int(w_sorted[i])}) has no "
-            f"matching reverse entry"
+            f"({u}, {v}, w={int(w_fwd[i])}) has no matching reverse entry"
         )

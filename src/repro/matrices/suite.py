@@ -166,11 +166,12 @@ def load(name: str, *, scale: float = 1.0, seed: int = 0, cache: bool = True):
         raise ConfigurationError(f"scale must be finite and positive, got {scale}")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    n = max(16, int(entry.default_order * scale))
-    if n > np.iinfo(INDEX_DTYPE).max:
+    order = entry.default_order * scale  # inf past the float range
+    if order >= np.iinfo(INDEX_DTYPE).max + 1:
         raise ConfigurationError(
-            f"scale {scale} gives {entry.name} {n:.3g} vertices, past int32 ids"
+            f"scale {scale} gives {entry.name} {order:.3g} vertices, past int32 ids"
         )
+    n = max(16, int(order))
     graph = entry.factory(n, seed)
     if cache:
         _CACHE[key] = graph

@@ -17,6 +17,9 @@ in front of the library's drivers:
   the first is still computing coalesce onto the same job (single-flight).
   Requests with a ``deadline`` bypass the cache entirely: their results
   depend on wall-clock, so they are neither stored nor served from store.
+  In front of the cache, a bounded **body memo** maps a digest of the raw
+  request bytes to the key of the response they were answered with, so a
+  repeated body is answered without decoding or validating it again.
 * **Progress streaming** — ``"stream": true`` answers with newline-
   delimited JSON: the tracer records of the running job (spans/events from
   :mod:`repro.obs`) as ``progress`` lines, then one ``result`` line.
@@ -35,6 +38,7 @@ rolling out changed defaults).  See ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import signal
@@ -44,7 +48,7 @@ import time
 
 from repro.core.kway import partition as kway_partition
 from repro.core.kway_refine import partition_refined
-from repro.core.options import cache_key_payload
+from repro.core.options import ambient_key_inputs, cache_key_payload
 from repro.obs.export import read_trace
 from repro.obs.schema import PHASE_KEYS
 from repro.obs.tracer import NULL as NULL_TRACER
@@ -58,6 +62,7 @@ from repro.service.schema import (
     ordering_response,
     parse_options,
     partition_response,
+    typed_param,
 )
 from repro.utils.errors import (
     ConfigurationError,
@@ -87,6 +92,9 @@ _CACHE_COUNTER_NAMES = {
     "coalesce": "coalesces",
 }
 
+#: The product paths: their answers are cached, and their bodies memoised.
+_PRODUCT_PATHS = ("/partition", "/order")
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -107,7 +115,7 @@ class PartitionService:
     cache_size, cache_ttl:
         :class:`~repro.service.cache.ResultCache` capacity and entry
         lifetime (``ttl=None`` disables expiry, ``cache_size=0`` disables
-        caching).
+        caching).  ``cache_size`` also bounds the body memo.
     queue_workers, backlog:
         :class:`~repro.service.jobs.JobQueue` bounds.
     trace:
@@ -128,6 +136,10 @@ class PartitionService:
         self.cache = ResultCache(
             cache_size, cache_ttl, on_event=self._cache_event
         )
+        #: Body digest -> the result-cache key its request was answered
+        #: with (see :func:`_memo_digest`).  No TTL: an entry whose result
+        #: has left the cache only falls through to the decoded path.
+        self.memo = ResultCache(cache_size)
         self.queue = JobQueue(queue_workers, backlog)
         self.max_body = max_body
         self.started_at = time.monotonic()
@@ -136,9 +148,9 @@ class PartitionService:
 
     # -- observability -------------------------------------------------
 
-    def _cache_event(self, name: str, *, key: str) -> None:
+    def _cache_event(self, name: str, *, key: str, **fields) -> None:
         if self.tracer:
-            self.tracer.event(f"service.cache.{name}", key=key)
+            self.tracer.event(f"service.cache.{name}", key=key, **fields)
             plural = _CACHE_COUNTER_NAMES.get(name, f"{name}s")
             self.tracer.counter(f"service.cache.{plural}")
 
@@ -224,11 +236,8 @@ class PartitionService:
         """Parse a /partition body into (graph, options, job, key)."""
         graph = graph_from_request(body)
         options = parse_options(body.get("options"))
-        try:
-            nparts = int(body.get("nparts", 2))
-        except (TypeError, ValueError):
-            raise ServiceRequestError("nparts must be an integer") from None
-        kway = bool(body.get("kway_refine", False))
+        nparts = typed_param(body, "nparts", int, 2)
+        kway = typed_param(body, "kway_refine", bool, False)
         if nparts < 1:
             raise ServiceRequestError(f"nparts must be >= 1, got {nparts}")
         if nparts > graph.nvtxs:
@@ -258,7 +267,7 @@ class PartitionService:
         """Parse an /order body into (graph, options, job, key)."""
         graph = graph_from_request(body)
         options = parse_options(body.get("options"))
-        method = body.get("method", "mlnd")
+        method = typed_param(body, "method", str, "mlnd")
         if method not in ORDER_METHODS:
             raise ServiceRequestError(
                 f"unknown ordering method {method!r}; "
@@ -287,25 +296,46 @@ class PartitionService:
 
         return options, job, key
 
-    async def _serve_product(self, kind: str, body: dict):
-        """Shared /partition + /order flow: cache front, job behind."""
+    def _memo_hit(self, digest: str):
+        """The cached response of a memoised body, or ``None``.
+
+        ``None`` also when the memo's key has left the cache (evicted,
+        expired or cleared): that miss is left uncounted, because the
+        decoded path the request falls through to counts it.
+        """
+        key = self.memo.get(digest)
+        if key is None:
+            return None
+        cached = self.cache.get(key, count_miss=False)
+        if cached is None:
+            return None
+        self._cache_event("hit", key=key, decoded=False)
+        return {**cached, "cached": True}
+
+    async def _serve_product(self, kind: str, body: dict, digest=None):
+        """Shared /partition + /order flow: cache front, job behind.
+
+        A request answered on the cacheable path memoises ``digest``, its
+        raw body's memo key, against its cache key.
+        """
         prepare = self._prepare_partition if kind == "partition" else self._prepare_order
         options, job, key = prepare(body)
         # Deadline runs depend on wall-clock: bypass the cache both ways.
         use_cache = options.deadline is None
+        response = self.cache.get(key) if use_cache else None
+        cached = response is not None
         if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._cache_event("hit", key=key)
-                return {**cached, "cached": True}
-            self._cache_event("miss", key=key)
-        trace_path = self._job_trace_path() if self.tracer else None
-        response, ran_here = await self._run_coalesced(
-            key, lambda: job(trace_path), trace_path
-        )
-        if use_cache and ran_here:
-            self.cache.put(key, response)
-        return {**response, "cached": False}
+            self._cache_event("hit" if cached else "miss", key=key)
+        if not cached:
+            trace_path = self._job_trace_path() if self.tracer else None
+            response, ran_here = await self._run_coalesced(
+                key, lambda: job(trace_path), trace_path
+            )
+            if use_cache and ran_here:
+                self.cache.put(key, response)
+        if use_cache and digest is not None:
+            self.memo.put(digest, key)
+        return {**response, "cached": cached}
 
     async def _stream_product(self, prepared):
         """ndjson progress stream for /partition + /order requests.
@@ -366,12 +396,14 @@ class PartitionService:
 
     # -- routing -------------------------------------------------------
 
-    async def dispatch(self, method: str, path: str, body: dict | None):
+    async def dispatch(self, method: str, path: str, body: dict | None,
+                       digest: str | None = None):
         """Route one request.
 
         Returns ``(status, payload, stream)`` where ``stream`` is an async
         generator of ndjson dicts for streaming responses (``payload`` is
-        then ``None``).
+        then ``None``).  ``digest`` is the body's memo key
+        (:func:`_memo_digest`), or ``None`` to memoise nothing.
         """
         if path == "/healthz":
             if method != "GET":
@@ -382,6 +414,7 @@ class PartitionService:
                 return 405, {"error": "use GET"}, None
             return 200, {
                 "cache": self.cache.stats(),
+                "memo": self.memo.stats(),
                 "queue": self.queue.stats(),
                 "inflight": len(self._inflight),
                 "uptime": time.monotonic() - self.started_at,
@@ -389,22 +422,25 @@ class PartitionService:
         if path == "/cache":
             if method != "DELETE":
                 return 405, {"error": "use DELETE"}, None
-            return 200, {"cleared": self.cache.clear()}, None
-        if path in ("/partition", "/order"):
+            return 200, {
+                "cleared": self.cache.clear(),
+                "memo_cleared": self.memo.clear(),
+            }, None
+        if path in _PRODUCT_PATHS:
             if method != "POST":
                 return 405, {"error": "use POST"}, None
             kind = path.lstrip("/")
             if body is None:
                 return 400, {"error": "request body must be a JSON object"}, None
             try:
-                if body.get("stream"):
+                if typed_param(body, "stream", bool, False):
                     prepare = (
                         self._prepare_partition
                         if kind == "partition"
                         else self._prepare_order
                     )
                     return 200, None, self._stream_product(prepare(body))
-                payload = await self._serve_product(kind, body)
+                payload = await self._serve_product(kind, body, digest)
             except ServiceRequestError as exc:
                 return exc.status, {"error": str(exc)}, None
             except _BAD_REQUEST_ERRORS as exc:
@@ -415,7 +451,19 @@ class PartitionService:
         return 404, {"error": f"unknown path {path!r}"}, None
 
     async def handle_request(self, method: str, path: str, raw_body: bytes):
-        """Decode, dispatch and account one request."""
+        """Decode, dispatch and account one request.
+
+        A product request whose exact body was answered on the cacheable
+        path before is answered from the memo, without decoding it, while
+        the response it maps to is still cached.
+        """
+        digest = None
+        if method == "POST" and path in _PRODUCT_PATHS:
+            digest = _memo_digest(path, raw_body)
+            payload = self._memo_hit(digest)
+            if payload is not None:
+                self._event("service.request", path=path, status=200)
+                return 200, payload, None
         body = None
         if raw_body:
             try:
@@ -429,9 +477,22 @@ class PartitionService:
             if not isinstance(body, dict):
                 self._event("service.request", path=path, status=400)
                 return 400, {"error": "request body must be a JSON object"}, None
-        status, payload, stream = await self.dispatch(method, path, body)
+        status, payload, stream = await self.dispatch(method, path, body, digest)
         self._event("service.request", path=path, status=status)
         return status, payload, stream
+
+
+def _memo_digest(path: str, raw_body: bytes) -> str:
+    """The memo key of a product request: SHA-256 over its path, what the
+    result-cache key reads from outside the body
+    (:func:`~repro.core.options.ambient_key_inputs`) and the raw body
+    bytes, each length-prefixed so no two requests alias."""
+    digest = hashlib.sha256()
+    ambient = repr(sorted(ambient_key_inputs().items()))
+    for part in (path.encode(), ambient.encode(), raw_body):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def _unlink_quiet(path: str) -> None:

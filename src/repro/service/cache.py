@@ -126,8 +126,12 @@ class ResultCache:
         if self._on_event is not None:
             self._on_event(name, key=key)
 
-    def get(self, key: str):
-        """The cached value, or ``None`` on miss/expiry.  Refreshes LRU."""
+    def get(self, key: str, *, count_miss: bool = True):
+        """The cached value, or ``None`` on miss/expiry.  Refreshes LRU.
+
+        ``count_miss=False`` leaves a miss out of the counters, for a probe
+        whose caller goes on to a lookup that counts it.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -140,7 +144,7 @@ class ResultCache:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     return value
-            self.misses += 1
+            self.misses += count_miss
             return None
 
     def put(self, key: str, value) -> None:

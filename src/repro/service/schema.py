@@ -29,7 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.options import DEFAULT_OPTIONS, MultilevelOptions
+from repro.core.options import DEFAULT_OPTIONS, MultilevelOptions, typed_value
 from repro.graph.csr import INDEX_DTYPE, WEIGHT_DTYPE, CSRGraph
 from repro.graph.validate import checked_cast
 from repro.service.cache import where_digest
@@ -43,6 +43,7 @@ from repro.utils.errors import (
 __all__ = [
     "ServiceRequestError",
     "parse_options",
+    "typed_param",
     "graph_from_request",
     "resilience_payload",
     "partition_response",
@@ -88,6 +89,20 @@ def _expect_mapping(obj, what: str) -> dict:
             f"{what} must be a JSON object, got {type(obj).__name__}"
         )
     return obj
+
+
+def typed_param(obj: dict, name: str, kind: type, default):
+    """Request parameter ``obj[name]`` (``default`` when absent) as a
+    ``kind``, typed as an option field is
+    (:func:`~repro.core.options.typed_value`): an ``int`` takes an integer
+    but not a bool, a ``bool`` only a bool, a ``str`` only a string and a
+    ``float`` a finite real but not a bool.  Anything else is a 400 naming
+    ``name``.
+    """
+    try:
+        return typed_value(name, kind, obj.get(name, default))
+    except ConfigurationError as exc:
+        raise ServiceRequestError(f"invalid request parameter: {exc}") from None
 
 
 def parse_options(obj) -> MultilevelOptions:
@@ -141,16 +156,13 @@ def _csr_from_workload(obj) -> CSRGraph:
     unknown = set(obj) - {"name", "scale", "seed"}
     if unknown:
         raise ServiceRequestError(f"unknown workload field(s) {sorted(unknown)}")
-    name = obj.get("name")
-    if not isinstance(name, str):
-        raise ServiceRequestError("workload needs a string 'name'")
+    name = typed_param(obj, "name", str, None)
+    scale = typed_param(obj, "scale", float, 1.0)
+    seed = typed_param(obj, "seed", int, 0)
     try:
-        scale = float(obj.get("scale", 1.0))
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ServiceRequestError(f"malformed workload parameters: {exc}") from exc
-    try:
-        return suite.load(name, scale=scale, seed=seed)
+        # Uncached: the result cache and the body memo answer repeats, and
+        # the suite's own cache would keep every generated graph forever.
+        return suite.load(name, scale=scale, seed=seed, cache=False)
     except UnknownWorkloadError as exc:
         raise ServiceRequestError(str(exc.args[0]), status=404) from exc
 

@@ -487,6 +487,79 @@ class TestHostileValues:
         )
         assert status == 400, payload
 
+    @pytest.mark.parametrize(
+        "path,params,field",
+        [
+            ("/partition", {"nparts": 2.9}, "nparts"),
+            ("/partition", {"nparts": True}, "nparts"),
+            ("/partition", {"nparts": "3"}, "nparts"),
+            ("/partition", {"nparts": None}, "nparts"),
+            ("/partition", {"kway_refine": "no"}, "kway_refine"),
+            ("/partition", {"kway_refine": 1}, "kway_refine"),
+            ("/partition", {"stream": "yes"}, "stream"),
+            ("/partition", {"stream": 1}, "stream"),
+            ("/order", {"method": ["mmd"]}, "method"),
+            ("/order", {"stream": "no"}, "stream"),
+        ],
+        ids=["nparts-float", "nparts-bool", "nparts-str", "nparts-null",
+             "kway_refine-str", "kway_refine-int", "stream-str",
+             "stream-int", "method-list", "order-stream-str"],
+    )
+    def test_request_parameter(self, service, path, params, field):
+        """Each parameter has one type: nothing is cast into another
+        (``2.9`` served as 2, ``"no"`` read as true)."""
+        raw = json.dumps({"graph": _edge(), **params}).encode()
+        status, payload, _ = asyncio.run(
+            service.handle_request("POST", path, raw)
+        )
+        assert status == 400, payload
+        assert payload["error"].startswith(
+            f"invalid request parameter: {field} must be"
+        ), payload
+
+    @pytest.mark.parametrize(
+        "workload,field",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "1"}, "seed"),
+            ({"scale": True}, "scale"),
+            ({"scale": "0.05"}, "scale"),
+            ({"name": 5}, "name"),
+        ],
+        ids=["seed-bool", "seed-float", "seed-str", "scale-bool",
+             "scale-str", "name-int"],
+    )
+    def test_workload_parameter(self, service, workload, field):
+        status, payload = self._post(
+            service,
+            {"workload": {"name": "4ELT", "scale": 0.02, **workload},
+             "nparts": 2},
+        )
+        assert status == 400, payload
+        assert f"{field} must be" in payload["error"], payload
+
+    def test_workload_scale_past_the_float_range_is_400(self, service):
+        """``default_order × 1e308`` is inf: refused, not ``int(inf)``."""
+        status, payload = self._post(
+            service, {"workload": {"name": "4ELT", "scale": 1e308}, "nparts": 2}
+        )
+        assert status == 400, payload
+        assert "past int32 ids" in payload["error"]
+
+    @pytest.mark.parametrize("path", ["/partition", "/order"])
+    def test_huge_ubfactor_is_served(self, service, path):
+        """A finite ``ubfactor`` whose caps overflow a float is no cap at
+        all: served, not an ``OverflowError`` from ``int(inf)``."""
+        raw = json.dumps({
+            "graph": _inline(grid2d(12, 12)), "nparts": 2,
+            "options": {"ubfactor": 1e308},
+        }).encode()
+        status, payload, _ = asyncio.run(
+            service.handle_request("POST", path, raw)
+        )
+        assert status == 200, payload
+
     def test_library_options_reject_the_seed_up_front(self):
         for seed in ("5", 5.5, -1, True):
             with pytest.raises(ConfigurationError, match="seed"):
@@ -913,6 +986,185 @@ class TestCaching:
         )
         assert pooled["where"] == [int(p) for p in local.where]
         assert pooled["cut"] == int(local.cut)
+
+
+def _handle(service, method, path, body=None):
+    """One request through ``handle_request``; a stream is drained into a
+    list of ndjson records.  Returns ``(status, payload, records)``."""
+    raw = b"" if body is None else json.dumps(body).encode()
+
+    async def run():
+        status, payload, stream = await service.handle_request(method, path, raw)
+        records = None
+        if stream is not None:
+            records = [record async for record in stream]
+        return status, payload, records
+
+    return asyncio.run(run())
+
+
+class TestBodyMemo:
+    """The memo answers a repeated body without decoding it, and only
+    while that answer is exactly what decoding would give."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """How many bodies reached ``graph_from_request``."""
+        import repro.service.app as app
+
+        calls = []
+        original = app.graph_from_request
+
+        def counted(body):
+            calls.append(1)
+            return original(body)
+
+        monkeypatch.setattr(app, "graph_from_request", counted)
+        return calls
+
+    @pytest.fixture()
+    def service(self):
+        svc = PartitionService()
+        yield svc
+        svc.close()
+
+    BODY = {"graph": _inline(path_graph(8)), "nparts": 2, "options": {"seed": 3}}
+
+    def test_memo_hit_is_byte_identical_to_a_decoded_hit(self, service, decodes):
+        status, fresh, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert status == 200 and fresh["cached"] is False
+        service.memo.clear()  # the next hit must decode
+        _, decoded, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert len(decodes) == 2
+        _, memoised, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert len(decodes) == 2, "a memo hit decodes nothing"
+        assert decoded["cached"] is True
+        assert json.dumps(memoised).encode() == json.dumps(decoded).encode()
+        assert service.memo.stats()["hits"] == 1
+        assert service.cache.stats()["hits"] == 2
+
+    def test_memo_hit_is_traced_as_a_hit_that_did_not_decode(self, tmp_path):
+        svc = PartitionService(trace=str(tmp_path / "service.jsonl"))
+        try:
+            for _ in range(2):
+                _handle(svc, "POST", "/partition", self.BODY)
+        finally:
+            svc.close()
+        events = [
+            r for r in read_trace(str(tmp_path / "service.jsonl"))
+            if r.get("t") == "event" and r["name"] == "service.cache.hit"
+        ]
+        assert len(events) == 1
+        assert events[0]["fields"]["decoded"] is False
+
+    @pytest.mark.parametrize(
+        "variable,value",
+        [("REPRO_KERNELS", "numba"), ("REPRO_FAULTS", "lanczos")],
+    )
+    def test_ambient_key_input_change_is_a_miss(
+        self, service, monkeypatch, variable, value
+    ):
+        monkeypatch.delenv(variable, raising=False)
+        _, first, _ = _handle(service, "POST", "/partition", self.BODY)
+        monkeypatch.setenv(variable, value)
+        _, changed, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert changed["cached"] is False
+        assert changed["key"] != first["key"]
+        monkeypatch.delenv(variable)
+        _, back, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert back["cached"] is True and back["key"] == first["key"]
+
+    def test_invalid_body_is_never_memoised(self, service, decodes):
+        body = {"graph": _edge(adjncy=[1, 1]), "nparts": 2}  # asymmetric
+        for expected_decodes in (1, 2):
+            status, payload, _ = _handle(service, "POST", "/partition", body)
+            assert status == 400, payload
+            assert len(decodes) == expected_decodes
+        assert len(service.memo) == 0
+
+    def test_deadline_body_is_never_memoised(self, service):
+        body = {**self.BODY, "options": {"seed": 3, "deadline": 60.0}}
+        for _ in range(2):
+            status, payload, _ = _handle(service, "POST", "/partition", body)
+            assert status == 200 and payload["cached"] is False
+        assert len(service.memo) == 0
+        assert len(service.cache) == 0
+
+    def test_streamed_body_keeps_its_ndjson_path(self, service):
+        body = {**self.BODY, "stream": True}
+        for cached in (False, True):
+            status, payload, records = _handle(
+                service, "POST", "/partition", body
+            )
+            assert status == 200 and payload is None
+            assert records[0] == {
+                "t": "accepted", "key": records[0]["key"], "cached": cached,
+            }
+            assert records[-1]["t"] == "result"
+        assert len(service.memo) == 0
+
+    def test_delete_cache_empties_memo_and_cache(self, service, decodes):
+        _handle(service, "POST", "/partition", self.BODY)
+        status, cleared, _ = _handle(service, "DELETE", "/cache")
+        assert status == 200
+        assert cleared == {"cleared": 1, "memo_cleared": 1}
+        assert len(service.memo) == 0 and len(service.cache) == 0
+        _, again, _ = _handle(service, "POST", "/partition", self.BODY)
+        assert again["cached"] is False
+        assert len(decodes) == 2
+
+    def test_cache_size_bounds_the_memo(self):
+        svc = PartitionService(cache_size=2)
+        try:
+            for seed in range(3):
+                body = {**self.BODY, "options": {"seed": seed}}
+                _handle(svc, "POST", "/partition", body)
+            memo = svc.memo.stats()
+            assert memo["maxsize"] == 2 and memo["size"] == 2
+            assert memo["evictions"] == 1
+        finally:
+            svc.close()
+        svc = PartitionService(cache_size=0)
+        try:
+            for _ in range(2):
+                _, payload, _ = _handle(svc, "POST", "/partition", self.BODY)
+                assert payload["cached"] is False
+            assert len(svc.memo) == 0
+        finally:
+            svc.close()
+
+    def test_stats_count_one_hit_or_miss_per_request(self):
+        """Also when the memo still holds a body whose result was evicted:
+        the request falls through, decodes and counts one miss."""
+        svc = PartitionService(cache_size=1)
+        try:
+            _handle(svc, "POST", "/partition", self.BODY)  # miss
+            # A streamed request fills the cache but never the memo, so it
+            # evicts the first result while the memo keeps its body.
+            other = {**self.BODY, "options": {"seed": 4}, "stream": True}
+            _handle(svc, "POST", "/partition", other)  # miss
+            _, evicted, _ = _handle(svc, "POST", "/partition", self.BODY)
+            assert evicted["cached"] is False  # miss, recomputed
+            _, hit, _ = _handle(svc, "POST", "/partition", self.BODY)
+            assert hit["cached"] is True
+            _, stats, _ = _handle(svc, "GET", "/stats")
+            assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 3)
+            assert stats["memo"]["hits"] == 2  # one fell through, one answered
+        finally:
+            svc.close()
+
+    def test_workload_requests_leave_the_suite_cache_alone(self, service):
+        from repro.matrices import suite
+
+        before = dict(suite._CACHE)
+        for seed in range(5):
+            status, payload, _ = _handle(
+                service, "POST", "/partition",
+                {"workload": {"name": "4ELT", "scale": 0.05, "seed": seed},
+                 "nparts": 2},
+            )
+            assert status == 200, payload
+        assert suite._CACHE == before
 
 
 class TestStreaming:

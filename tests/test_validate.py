@@ -1,10 +1,83 @@
-"""Tests for CSR structural validation — every failure mode."""
+"""Tests for CSR structural validation — every failure mode.
+
+:func:`repro.graph.validate.validate_graph` sorts the directed entries by
+one fused key per direction.  ``_reference_validate_graph`` below keeps
+the two-``lexsort`` formulation it replaced; a hypothesis sweep over valid
+weighted graphs and single-defect mutants of them asserts that both make
+the same accept/reject decision with the same message.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph
+from repro.graph.validate import _check_weight_sum, validate_graph
 from repro.utils.errors import GraphValidationError
+from tests.test_properties import graphs
+
+
+def _reference_validate_graph(graph) -> None:
+    """The two-``lexsort`` validation that ``validate_graph`` replaced."""
+    xadj, adjncy, adjwgt, vwgt = graph.xadj, graph.adjncy, graph.adjwgt, graph.vwgt
+    n = len(xadj) - 1
+    if n < 0:
+        raise GraphValidationError("xadj must have at least one entry")
+    if xadj[0] != 0:
+        raise GraphValidationError(f"xadj[0] must be 0, got {xadj[0]}")
+    if xadj[-1] != len(adjncy):
+        raise GraphValidationError(
+            f"xadj[-1] ({xadj[-1]}) must equal len(adjncy) ({len(adjncy)})"
+        )
+    if np.any(np.diff(xadj) < 0):
+        raise GraphValidationError("xadj must be non-decreasing")
+    if len(adjwgt) != len(adjncy):
+        raise GraphValidationError(
+            f"adjwgt length {len(adjwgt)} != adjncy length {len(adjncy)}"
+        )
+    if len(vwgt) != n:
+        raise GraphValidationError(f"vwgt length {len(vwgt)} != nvtxs {n}")
+    if n == 0:
+        return
+    if len(adjncy) and (adjncy.min() < 0 or adjncy.max() >= n):
+        raise GraphValidationError("adjncy contains out-of-range vertex ids")
+    if np.any(vwgt <= 0):
+        raise GraphValidationError("vertex weights must be positive")
+    if len(adjwgt) and np.any(adjwgt <= 0):
+        raise GraphValidationError("edge weights must be positive")
+    _check_weight_sum(vwgt, "vwgt")
+    _check_weight_sum(adjwgt, "adjwgt")
+
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
+    if np.any(src == adjncy):
+        raise GraphValidationError("self-loops are not allowed")
+
+    order = np.lexsort((adjncy, src))
+    s_sorted = src[order]
+    d_sorted = adjncy[order]
+    dup = (s_sorted[1:] == s_sorted[:-1]) & (d_sorted[1:] == d_sorted[:-1])
+    if np.any(dup):
+        i = int(np.flatnonzero(dup)[0])
+        raise GraphValidationError(
+            f"vertex {int(s_sorted[i])} has duplicate neighbour "
+            f"{int(d_sorted[i])} in its adjacency list"
+        )
+
+    w_sorted = adjwgt[order]
+    rorder = np.lexsort((src, adjncy))
+    rs = adjncy[rorder].astype(np.int64)
+    rd = src[rorder]
+    rw = adjwgt[rorder]
+    d64 = d_sorted.astype(np.int64)
+    bad = (s_sorted != rs) | (d64 != rd) | (w_sorted != rw)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise GraphValidationError(
+            "adjacency is not symmetric with equal weights: edge "
+            f"({int(s_sorted[i])}, {int(d64[i])}, w={int(w_sorted[i])}) has no "
+            f"matching reverse entry"
+        )
 
 
 def make_raw(**overrides):
@@ -167,3 +240,78 @@ class TestCheckedBeforeTheCast:
 
     def test_empty_float_array_is_an_empty_adjacency(self):
         assert CSRGraph([0, 0], []).nvtxs == 1
+
+
+# --------------------------------------------------------------------------
+# The fused-key sort against the reference
+# --------------------------------------------------------------------------
+_DEFECTS = ("none", "duplicate", "missing-reverse", "weight", "self-loop")
+
+
+@st.composite
+def _cases(draw):
+    """A valid weighted graph, shuffled within each adjacency list, with at
+    most one defect: ``(defect, CSRGraph built without validation)``."""
+    g = draw(graphs(weighted=True, min_n=1, max_n=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for v in range(g.nvtxs):
+        lo, hi = g.xadj[v], g.xadj[v + 1]
+        row = list(zip(g.adjncy[lo:hi].tolist(), g.adjwgt[lo:hi].tolist()))
+        rows.append([row[i] for i in rng.permutation(len(row))])
+    defect = draw(st.sampled_from(_DEFECTS))
+    entries = [(v, i) for v, row in enumerate(rows) for i in range(len(row))]
+    if defect in ("duplicate", "missing-reverse", "weight") and not entries:
+        defect = "none"
+    if defect == "self-loop":
+        v = draw(st.integers(0, g.nvtxs - 1))
+        rows[v].insert(draw(st.integers(0, len(rows[v]))), (v, 1))
+    elif defect != "none":
+        v, i = draw(st.sampled_from(entries))
+        u, w = rows[v][i]
+        if defect == "duplicate":
+            rows[v].insert(draw(st.integers(0, len(rows[v]))), (u, w))
+        elif defect == "missing-reverse":
+            del rows[v][i]
+        else:
+            rows[v][i] = (u, w + draw(st.integers(1, 5)))
+    xadj = np.cumsum([0] + [len(row) for row in rows])
+    flat = [entry for row in rows for entry in row]
+    vwgt = draw(st.lists(st.integers(1, 9), min_size=g.nvtxs,
+                         max_size=g.nvtxs))
+    graph = CSRGraph(
+        xadj,
+        np.array([u for u, _ in flat], dtype=np.int32),
+        np.array([w for _, w in flat], dtype=np.int64),
+        np.array(vwgt, dtype=np.int64),
+        validate=False,
+    )
+    return defect, graph
+
+
+def _verdict(check, graph):
+    try:
+        check(graph)
+    except GraphValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestFusedKeyAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_cases())
+    def test_same_decision_and_message(self, case):
+        defect, graph = case
+        got = _verdict(validate_graph, graph)
+        assert got == _verdict(_reference_validate_graph, graph)
+        assert (got is None) == (defect == "none"), (defect, got)
+
+    def test_first_offending_edge_is_named(self):
+        # Two asymmetric entries: both name the lowest (u, v) first.
+        graph = CSRGraph(
+            np.array([0, 2, 2, 2]), np.array([2, 1], dtype=np.int32),
+            validate=False,
+        )
+        message = _verdict(validate_graph, graph)
+        assert message == _verdict(_reference_validate_graph, graph)
+        assert "edge (0, 1, w=1)" in message
