@@ -22,12 +22,13 @@ Schemes differ only in the neighbour choice:
 A matching is returned in involution form: ``match[v]`` is ``v``'s partner,
 or ``v`` itself when unmatched.
 
-The loop walks each visited vertex's adjacency as Python scalars: one pass
-over memoryviews of the CSR arrays, evaluating the scheme's criterion for
-every free neighbour with a strict comparison, so ties go to the first
-such neighbour in the adjacency list.  A NumPy call per vertex would cost
-more than the handful of neighbours it scans.  ``tests/test_matching.py``
-keeps the per-vertex NumPy formulation as the bit-identity reference.
+The loop walks each visited vertex's adjacency as Python scalars over
+memoryviews of the CSR arrays; a NumPy call per vertex would cost more
+than the handful of neighbours it scans.  RM and HCM evaluate every free
+neighbour; HEM and LEM rank each row once per call and stop at the first
+free one (:func:`_ranked_adjncy`).  Either way, ties go to the first such
+neighbour in the adjacency list.  ``tests/test_matching.py`` keeps the
+per-vertex NumPy formulation as the bit-identity reference.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.core.options import MatchingScheme
 from repro.utils.rng import as_generator
 
 UNMATCHED = -1
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _match_loop(graph, rng, pick):
@@ -78,43 +80,66 @@ def rm_matching(graph, rng=None) -> np.ndarray:
     return _match_loop(graph, rng, pick)
 
 
+def _ranked_adjncy(graph, heaviest: bool) -> np.ndarray:
+    """``adjncy`` with each row stably sorted by edge weight.
+
+    Heaviest first when ``heaviest``, else lightest first; ties keep
+    their adjacency order.  The first free entry of a ranked row is then
+    the neighbour a scan for the strict maximum (or minimum) picks, since
+    that scan keeps the earliest extreme.  With all weights equal the
+    rows are already ranked and ``adjncy`` is returned as it is.
+
+    Otherwise one stable sort of the fused key ``src·(wmax+1) + r``, with
+    ``r = wmax − w`` (heaviest first) or ``w``, keeps every row in place
+    (``src`` is non-decreasing).  Where ``nvtxs·(wmax+1)`` would overflow
+    int64, ``np.lexsort`` gives the same order.
+    """
+    adjncy, adjwgt = graph.adjncy, graph.adjwgt
+    if len(adjwgt) == 0 or adjwgt.min() == adjwgt.max():
+        return adjncy
+    wmax = int(adjwgt.max())
+    rank = wmax - adjwgt if heaviest else adjwgt
+    src = graph.edge_sources()
+    if graph.nvtxs * (wmax + 1) <= _INT64_MAX:
+        order = np.argsort(src * (wmax + 1) + rank, kind="stable")
+    else:
+        order = np.lexsort((rank, src))
+    return adjncy[order]
+
+
+def _first_free(adjncy):
+    """A ``pick`` returning the first unmatched entry of a row of
+    ``adjncy`` (a ranked adjacency, see :func:`_ranked_adjncy`)."""
+    adjncy = memoryview(adjncy)
+
+    def pick(u, s, e, match):
+        for v in adjncy[s:e]:
+            if match[v] == UNMATCHED:
+                return v
+        return UNMATCHED
+
+    return pick
+
+
 def hem_matching(graph, rng=None) -> np.ndarray:
     """Heavy-edge matching (HEM): heaviest edge to an unmatched neighbour.
 
-    Ties go to the first such neighbour in the adjacency list (the strict
-    comparison keeps the earliest maximum), which is effectively random
-    for the shuffled graphs our generators emit; the visiting order is
-    random regardless.
+    Ties go to the first such neighbour in the adjacency list, which is
+    effectively random for the shuffled graphs our generators emit; the
+    visiting order is random regardless.  Each row is ranked heaviest
+    first once per call, and a visit takes its first free neighbour.
     """
     rng = as_generator(rng)
-    adjncy, adjwgt = memoryview(graph.adjncy), memoryview(graph.adjwgt)
-
-    def pick(u, s, e, match):
-        best, heaviest = UNMATCHED, -1
-        for j in range(s, e):
-            v = adjncy[j]
-            if match[v] == UNMATCHED and adjwgt[j] > heaviest:
-                best, heaviest = v, adjwgt[j]
-        return best
-
-    return _match_loop(graph, rng, pick)
+    return _match_loop(graph, rng, _first_free(_ranked_adjncy(graph, True)))
 
 
 def lem_matching(graph, rng=None) -> np.ndarray:
-    """Light-edge matching (LEM): lightest edge to an unmatched neighbour."""
+    """Light-edge matching (LEM): lightest edge to an unmatched neighbour.
+
+    Each row is ranked lightest first, as HEM ranks heaviest first.
+    """
     rng = as_generator(rng)
-    adjncy, adjwgt = memoryview(graph.adjncy), memoryview(graph.adjwgt)
-    big = int(np.iinfo(np.int64).max)
-
-    def pick(u, s, e, match):
-        best, lightest = UNMATCHED, big
-        for j in range(s, e):
-            v = adjncy[j]
-            if match[v] == UNMATCHED and adjwgt[j] < lightest:
-                best, lightest = v, adjwgt[j]
-        return best
-
-    return _match_loop(graph, rng, pick)
+    return _match_loop(graph, rng, _first_free(_ranked_adjncy(graph, False)))
 
 
 def hcm_matching(graph, rng=None, cewgt=None) -> np.ndarray:

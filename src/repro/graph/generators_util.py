@@ -18,12 +18,16 @@ def simple_edges(edges: np.ndarray) -> np.ndarray:
     """Unique undirected edges (u < v) from an ``(E, 2)`` array.
 
     Drops self-loops and duplicate mentions regardless of orientation.
+    The rows come out sorted by ``(u, v)``: one ``np.unique`` of the fused
+    key ``u·span + v`` (``span = max v + 1``; vertex ids fit int32, so the
+    key fits int64), split back by ``divmod``.
     """
     edges = np.asarray(edges, dtype=np.int64)
+    if edges.size:
+        edges = edges[edges[:, 0] != edges[:, 1]]
     if edges.size == 0:
         return edges.reshape(0, 2)
-    edges = edges[edges[:, 0] != edges[:, 1]]
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    canon = np.column_stack([lo, hi])
-    return np.unique(canon, axis=0)
+    span = int(hi.max()) + 1
+    return np.column_stack(np.divmod(np.unique(lo * span + hi), span))

@@ -72,36 +72,43 @@ def refine_vertex_separator(
     """
     rng = as_generator(rng)
     where3 = np.asarray(where3)
-    xadj, adjncy, vwgt = graph.xadj, graph.adjncy, graph.vwgt
-    n = graph.nvtxs
     if maxpwgt is None:
         maxpwgt = (np.iinfo(np.int64).max, np.iinfo(np.int64).max)
 
     pwgts = [
-        int(vwgt[where3 == SIDE_A].sum()),
-        int(vwgt[where3 == SIDE_B].sum()),
+        int(graph.vwgt[where3 == SIDE_A].sum()),
+        int(graph.vwgt[where3 == SIDE_B].sum()),
     ]
+    xadj, adjncy = memoryview(graph.xadj), memoryview(graph.adjncy)
+    vwgt, label = memoryview(graph.vwgt), memoryview(where3)
 
     for _ in range(max_passes):
         sep = np.flatnonzero(where3 == SEPARATOR)
         if len(sep) == 0:
             break
         moved = 0
-        for s in rng.permutation(sep):
-            s = int(s)
-            if where3[s] != SEPARATOR:
+        for s in rng.permutation(sep).tolist():
+            if label[s] != SEPARATOR:
                 continue  # pulled into the separator earlier this sweep? no — only grows; guard anyway
-            nbrs = adjncy[xadj[s] : xadj[s + 1]]
-            labels = where3[nbrs]
-            w_s = int(vwgt[s])
-            best = None  # (delta_sep, -balance_gain, side, pulled)
+            # One pass over the row sums each side's neighbour weight; a
+            # move (rare) walks the row again to pull the other side in.
+            row = adjncy[xadj[s] : xadj[s + 1]]
+            w_a = w_b = 0
+            for v in row:
+                lv = label[v]
+                if lv == SIDE_A:
+                    w_a += vwgt[v]
+                elif lv == SIDE_B:
+                    w_b += vwgt[v]
+            nbr_wgt = (w_a, w_b)
+            w_s = vwgt[s]
+            best = None  # (key, side, other); key = (delta_sep, larger side)
             for side, other in ((SIDE_A, SIDE_B), (SIDE_B, SIDE_A)):
-                pulled = nbrs[labels == other]
-                delta = int(vwgt[pulled].sum()) - w_s
+                delta = nbr_wgt[other] - w_s
                 if delta > 0:
                     continue  # separator would grow
                 new_side = pwgts[side] + w_s
-                new_other = pwgts[other] - int(vwgt[pulled].sum())
+                new_other = pwgts[other] - nbr_wgt[other]
                 if new_side > maxpwgt[side] and new_side >= pwgts[other]:
                     continue  # violates cap without improving balance
                 if delta == 0:
@@ -110,15 +117,16 @@ def refine_vertex_separator(
                         continue
                 key = (delta, max(new_side, new_other))
                 if best is None or key < best[0]:
-                    best = (key, side, other, pulled)
+                    best = (key, side, other)
             if best is None:
                 continue
-            _, side, other, pulled = best
-            where3[s] = side
+            _, side, other = best
+            label[s] = side
             pwgts[side] += w_s
-            if len(pulled):
-                where3[pulled] = SEPARATOR
-                pwgts[other] -= int(vwgt[pulled].sum())
+            for v in row:
+                if label[v] == other:
+                    label[v] = SEPARATOR
+            pwgts[other] -= nbr_wgt[other]
             moved += 1
         if moved == 0:
             break

@@ -36,8 +36,8 @@ def boundary_bipartite(graph, where):
     a_vertices, a_idx = np.unique(a_raw, return_inverse=True)
     b_vertices, b_idx = np.unique(b_raw, return_inverse=True)
     adj: list[list[int]] = [[] for _ in range(len(a_vertices))]
-    for ai, bi in zip(a_idx, b_idx):
-        adj[ai].append(int(bi))
+    for ai, bi in zip(a_idx.tolist(), b_idx.tolist()):
+        adj[ai].append(bi)
     return a_vertices, b_vertices, adj
 
 

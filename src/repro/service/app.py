@@ -273,7 +273,11 @@ class PartitionService:
                 f"unknown ordering method {method!r}; "
                 f"expected one of {ORDER_METHODS}"
             )
-        payload = {"options": cache_key_payload(options), "method": method}
+        # MMD reads no option, so the graph and the method determine its
+        # bits; the options were still parsed, so a bad one is still a 400.
+        payload = {"method": method}
+        if method != "mmd":
+            payload["options"] = cache_key_payload(options)
         key = request_key("order", graph, payload)
 
         def job(trace_path=None):

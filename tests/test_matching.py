@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.coarsen import coarsen
 from repro.core.matching import (
+    _ranked_adjncy,
     compute_matching,
     hcm_matching,
     hem_matching,
@@ -275,6 +276,73 @@ def _weighted_graphs(draw):
     return graph, np.array(cewgt, dtype=np.int64)
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@st.composite
+def _heavy_graphs(draw):
+    """A small graph whose edge weights sit just under validation's bound
+    ``max(w)·len(w) ≤ INT64_MAX``, with some isolated vertices.
+
+    Whether the fused ranking key ``src·(wmax+1) + r`` fits int64 then
+    turns on ``nvtxs`` against the adjacency length, so the sweep meets
+    both ranking paths (:func:`_uses_fused_key`).
+    """
+    n = draw(st.integers(2, 12))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(
+        st.lists(st.sampled_from(possible), unique=True, min_size=1,
+                 max_size=30)
+    )
+    total = n + draw(st.integers(0, 3 * len(pairs)))
+    label = draw(st.permutations(range(total)))
+    bound = INT64_MAX // (2 * len(pairs))
+    weights = draw(
+        st.lists(st.integers(bound - 2, bound), min_size=len(pairs),
+                 max_size=len(pairs))
+    )
+    edges = [(label[i], label[j]) for i, j in pairs]
+    return from_edge_list(total, edges, weights)
+
+
+def _uses_fused_key(graph) -> bool:
+    """Whether ``_ranked_adjncy`` sorts ``graph`` by the fused key."""
+    return graph.nvtxs * (int(graph.adjwgt.max()) + 1) <= INT64_MAX
+
+
+def _row_ranked(graph, heaviest):
+    """Each row sorted one by one by Python's stable ``sorted``."""
+    xadj, adjncy, adjwgt = graph.xadj, graph.adjncy, graph.adjwgt
+    sign = -1 if heaviest else 1
+    rows = []
+    for u in range(graph.nvtxs):
+        row = range(int(xadj[u]), int(xadj[u + 1]))
+        rows += [int(adjncy[j]) for j in sorted(
+            row, key=lambda j: sign * int(adjwgt[j]))]
+    return rows
+
+
+# K4 with weights just under validation's bound: nvtxs·(wmax+1) fits
+# int64, and with 20 isolated vertices more it does not.
+_K4_EDGES = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
+_K4_BOUND = INT64_MAX // (2 * len(_K4_EDGES))
+_K4_WEIGHTS = [_K4_BOUND - i % 3 for i in range(len(_K4_EDGES))]
+NEAR_BOUND = {
+    "fused": from_edge_list(4, _K4_EDGES, _K4_WEIGHTS),
+    "lexsort": from_edge_list(24, _K4_EDGES, _K4_WEIGHTS),
+}
+
+
+def assert_matches_reference(graph, scheme, seeds, cewgt=None):
+    """The kernel and the reference agree for every seed in ``seeds``."""
+    for s in seeds:
+        got = compute_matching(graph, scheme, np.random.default_rng(s), cewgt)
+        ref = _reference_matching(
+            graph, scheme, np.random.default_rng(s), cewgt
+        )
+        assert np.array_equal(got, ref), s
+
+
 @pytest.mark.parametrize("scheme", list(MatchingScheme), ids=lambda s: s.name)
 class TestReferenceOracle:
     """The scalar-scan kernels are bit-identical to the NumPy reference."""
@@ -285,33 +353,65 @@ class TestReferenceOracle:
         graph, cewgt = case
         if scheme is not MatchingScheme.HCM:
             cewgt = None
-        for s in (seed, seed + 1, seed + 2):
-            got = compute_matching(
-                graph, scheme, np.random.default_rng(s), cewgt
-            )
-            ref = _reference_matching(
-                graph, scheme, np.random.default_rng(s), cewgt
-            )
-            assert np.array_equal(got, ref), s
+        assert_matches_reference(graph, scheme, (seed, seed + 1, seed + 2), cewgt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_heavy_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_weights_near_the_validation_bound(self, scheme, graph, seed):
+        assert_matches_reference(graph, scheme, (seed,))
+
+    @pytest.mark.parametrize("path", NEAR_BOUND)
+    def test_both_ranking_paths(self, scheme, path):
+        graph = NEAR_BOUND[path]
+        assert _uses_fused_key(graph) == (path == "fused")
+        assert_matches_reference(graph, scheme, range(24))
+
+    def test_single_weight_graph(self, scheme):
+        # Every edge weight equal: HEM and LEM scan the rows unsorted.
+        base = random_graph(80, 0.1, seed=11)
+        graph = from_edge_list(
+            base.nvtxs, base.edge_array()[:, :2], [7] * base.nedges
+        )
+        assert _ranked_adjncy(graph, True) is graph.adjncy
+        assert_matches_reference(graph, scheme, range(10))
 
     def test_coarsening_hierarchy_levels(self, scheme):
-        # Every level of a real hierarchy: coarse vertex and edge weights
-        # above 1 and, for HCM, the cewgt that coarsening threads through.
-        graph = load("4ELT", scale=0.3, seed=0)
-        hierarchy = coarsen(
-            graph, DEFAULT_OPTIONS.with_(matching=scheme),
-            np.random.default_rng(5),
-        )
-        cewgt = np.zeros(graph.nvtxs, dtype=np.int64)
-        for level, g in enumerate(hierarchy.graphs):
-            hcm = cewgt if scheme is MatchingScheme.HCM else None
-            got = compute_matching(g, scheme, np.random.default_rng(level), hcm)
-            ref = _reference_matching(
-                g, scheme, np.random.default_rng(level), hcm
+        # Every level of two real hierarchies, a 2D mesh and a 3D stiffness
+        # analogue: coarse vertex and edge weights above 1 and, for HCM,
+        # the cewgt that coarsening threads through.
+        for name, scale in (("4ELT", 0.3), ("BCSSTK31", 0.5)):
+            graph = load(name, scale=scale, seed=0)
+            hierarchy = coarsen(
+                graph, DEFAULT_OPTIONS.with_(matching=scheme),
+                np.random.default_rng(5),
             )
-            assert np.array_equal(got, ref), level
-            if level < len(hierarchy.cmaps):
-                ncoarse = hierarchy.graphs[level + 1].nvtxs
-                cewgt = collapsed_edge_weight(
-                    g, hierarchy.cmaps[level], ncoarse, cewgt
-                )
+            cewgt = np.zeros(graph.nvtxs, dtype=np.int64)
+            for level, g in enumerate(hierarchy.graphs):
+                hcm = cewgt if scheme is MatchingScheme.HCM else None
+                assert_matches_reference(g, scheme, (level,), hcm)
+                if level < len(hierarchy.cmaps):
+                    ncoarse = hierarchy.graphs[level + 1].nvtxs
+                    cewgt = collapsed_edge_weight(
+                        g, hierarchy.cmaps[level], ncoarse, cewgt
+                    )
+
+
+class TestRankedAdjacency:
+    """Each ranked row is its adjacency row stably sorted by weight."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=st.one_of(_heavy_graphs(), _weighted_graphs().map(
+        lambda case: case[0])))
+    def test_rows_match_a_stable_sort(self, graph):
+        for heaviest in (True, False):
+            got = _ranked_adjncy(graph, heaviest)
+            assert got.dtype == graph.adjncy.dtype
+            assert got.tolist() == _row_ranked(graph, heaviest)
+
+    @pytest.mark.parametrize("path", NEAR_BOUND)
+    def test_both_sort_paths(self, path):
+        graph = NEAR_BOUND[path]
+        assert _uses_fused_key(graph) == (path == "fused")
+        for heaviest in (True, False):
+            got = _ranked_adjncy(graph, heaviest)
+            assert got.tolist() == _row_ranked(graph, heaviest)

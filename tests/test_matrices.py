@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import is_connected, validate_graph
+from repro.graph.generators_util import simple_edges
 from repro.matrices import (
     airfoil,
     fe_tet3d,
@@ -155,3 +158,49 @@ class TestClassCharacteristics:
         g = fe_tet3d(400, seed=5, elongation=(4.0, 1.0, 1.0))
         extents = g.coords.max(axis=0) - g.coords.min(axis=0)
         assert extents[0] > 2.5 * extents[1]
+
+
+def _reference_simple_edges(edges):
+    """Unique canonical rows by ``np.unique(axis=0)``, which sorts the
+    rows lexicographically as a structured dtype."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        return edges.reshape(0, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    return np.unique(np.column_stack([lo, hi]), axis=0)
+
+
+class TestSimpleEdges:
+    """One ``np.unique`` of a fused key gives the rows, and the order,
+    of ``np.unique(axis=0)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=120
+        ),
+        data=st.data(),
+    )
+    def test_matches_unique_rows(self, pairs, data):
+        # Repeat some pairs, some of them reversed, so duplicates come in
+        # both orientations; i == j pairs are self-loops.
+        repeats = data.draw(st.lists(
+            st.tuples(st.sampled_from(pairs), st.booleans()), max_size=40
+        )) if pairs else []
+        pairs = pairs + [(j, i) if flip else (i, j) for (i, j), flip in repeats]
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        got, ref = simple_edges(edges), _reference_simple_edges(edges)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("edges", [
+        [], np.empty((0, 2), dtype=np.int64), [(3, 3)], [(0, 0), (5, 5)],
+        [(2, 1), (1, 2), (2, 1), (4, 4)], [(0, 7), (7, 0)],
+    ], ids=["empty-list", "empty-array", "self-loop", "self-loops",
+            "both-orientations", "ids-at-the-span"])
+    def test_edge_cases(self, edges):
+        got, ref = simple_edges(edges), _reference_simple_edges(edges)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)

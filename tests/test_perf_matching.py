@@ -3,15 +3,22 @@
 The kernel the registry selects must produce valid maximal matchings for
 every §3.1 scheme.  Its scalar scan must beat the per-vertex NumPy
 reference of ``tests/test_matching.py`` by a wide margin on large graphs
-while returning the same matching — asserted by a ``perf``-marked test.
+while returning the same matching — asserted by ``perf``-marked tests on a
+unit-weight level (HEM scans the rows as they are) and on a weighted
+coarse level (HEM ranks the rows first).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.matching import is_maximal_matching, is_valid_matching
+from repro.core.matching import (
+    hem_matching,
+    is_maximal_matching,
+    is_valid_matching,
+)
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.kernels import resolve_kernels
+from repro.graph.contract import coarse_map_from_matching, contract
 from repro.matrices import grid2d
 from repro.utils.errors import ConfigurationError
 from tests.conftest import interleaved_best, random_graph
@@ -76,4 +83,28 @@ class TestKernelSpeed:
         assert t_ref / t_loop >= 3.0, (
             f"loop HEM only {t_ref / t_loop:.2f}x faster than the reference "
             f"(reference {t_ref:.3f}s, loop {t_loop:.3f}s)"
+        )
+
+    def test_loop_hem_3x_over_reference_on_a_weighted_coarse_level(self):
+        # One HEM contraction of the 100k mesh: edge weights 1 and 2, so
+        # the kernel sorts each row heaviest first before it scans.
+        fine = grid2d(320, 320)
+        cmap, ncoarse = coarse_map_from_matching(
+            hem_matching(fine, np.random.default_rng(0))
+        )
+        graph = contract(fine, cmap, ncoarse)
+        assert graph.adjwgt.min() < graph.adjwgt.max()
+
+        loop = matching_kernel("loop")
+        (t_ref, ref), (t_loop, match) = interleaved_best(
+            lambda: _reference_matching(
+                graph, MatchingScheme.HEM, np.random.default_rng(7)
+            ),
+            lambda: loop(graph, MatchingScheme.HEM, np.random.default_rng(7)),
+            repeats=2,
+        )
+        assert np.array_equal(match, ref)
+        assert t_ref / t_loop >= 3.0, (
+            f"loop HEM only {t_ref / t_loop:.2f}x faster than the reference "
+            f"on the coarse level (reference {t_ref:.3f}s, loop {t_loop:.3f}s)"
         )

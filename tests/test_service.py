@@ -912,6 +912,37 @@ class TestCaching:
         assert a["key"] != b["key"]
         assert b["cached"] is False
 
+    @pytest.mark.parametrize(
+        "method,runs", [("mmd", 1), ("mlnd", 2), ("snd", 2)]
+    )
+    def test_order_key_holds_the_options_only_where_they_count(
+        self, method, runs
+    ):
+        # mmd_ordering reads no option: a seed change is a hit.  MLND and
+        # SND are seeded: it is a miss.
+        svc = PartitionService()
+        try:
+            g = _inline(grid2d(20, 20))
+            replies = [
+                _handle(svc, "POST", "/order", {
+                    "graph": g, "method": method, "options": {"seed": seed},
+                })
+                for seed in (1, 2)
+            ]
+            assert [status for status, _, _ in replies] == [200, 200]
+            first, second = (payload for _, payload, _ in replies)
+            assert first["cached"] is False
+            assert second["cached"] is (runs == 1)
+            assert svc.queue.stats()["completed"] == runs
+            if runs == 1:
+                assert second["perm_sha256"] == first["perm_sha256"]
+            status, _, _ = _handle(svc, "POST", "/order", {
+                "graph": g, "method": method, "options": {"seed": "x"},
+            })
+            assert status == 400
+        finally:
+            svc.close()
+
     def test_concurrent_fan_in_single_flight(self, tmp_path):
         """N identical concurrent requests compute the result once."""
         body = {

@@ -1,8 +1,17 @@
-"""Tests for minimum-vertex-cover separators (Hopcroft–Karp + König)."""
+"""Tests for minimum-vertex-cover separators (Hopcroft–Karp + König).
+
+:func:`repro.ordering.boundary_bipartite` builds its adjacency from Python
+ints; ``_reference_boundary_bipartite`` below keeps the formulation that
+iterated NumPy scalars, and a hypothesis sweep asserts the same vertex
+arrays and adjacency lists.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.multilevel import bisect
 from repro.ordering import (
     boundary_bipartite,
     hopcroft_karp,
@@ -10,7 +19,35 @@ from repro.ordering import (
     vertex_separator_from_bisection,
 )
 from repro.graph import from_edge_list
+from repro.matrices import load
 from tests.conftest import assert_separator, path_graph, random_graph
+from tests.test_properties import graphs
+
+
+def _reference_boundary_bipartite(graph, where):
+    """Cut edges as a bipartite adjacency, iterating NumPy scalars."""
+    where = np.asarray(where)
+    src = graph.edge_sources()
+    dst = graph.adjncy
+    cross = (where[src] == 0) & (where[dst] == 1)
+    a_raw = src[cross]
+    b_raw = dst[cross]
+    a_vertices, a_idx = np.unique(a_raw, return_inverse=True)
+    b_vertices, b_idx = np.unique(b_raw, return_inverse=True)
+    adj = [[] for _ in range(len(a_vertices))]
+    for ai, bi in zip(a_idx, b_idx):
+        adj[ai].append(int(bi))
+    return a_vertices, b_vertices, adj
+
+
+def assert_same_bipartite(graph, where):
+    got = boundary_bipartite(graph, where)
+    ref = _reference_boundary_bipartite(graph, where)
+    for arr, ref_arr in zip(got[:2], ref[:2]):
+        assert arr.dtype == ref_arr.dtype
+        assert np.array_equal(arr, ref_arr)
+    assert got[2] == ref[2]
+    assert all(type(b) is int for row in got[2] for b in row)
 
 
 class TestHopcroftKarp:
@@ -117,3 +154,21 @@ class TestVertexSeparator:
         where = rng.integers(0, 2, g.nvtxs)
         sep = vertex_separator_from_bisection(g, where)
         assert_separator(g, sep, where)
+
+
+class TestBoundaryBipartiteReference:
+    """``boundary_bipartite`` is bit-identical to its reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=graphs(weighted=True, min_n=0, max_n=40), data=st.data())
+    def test_random_sides(self, graph, data):
+        where = data.draw(st.lists(
+            st.integers(0, 1), min_size=graph.nvtxs, max_size=graph.nvtxs))
+        assert_same_bipartite(graph, np.array(where, dtype=np.int64))
+
+    @pytest.mark.parametrize("name", ["4ELT", "BCSSTK31"])
+    def test_analogue_bisections(self, name):
+        graph = load(name, scale=0.25, seed=0)
+        for seed in range(3):
+            where = bisect(graph, rng=np.random.default_rng(seed)).bisection.where
+            assert_same_bipartite(graph, where)
