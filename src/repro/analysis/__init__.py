@@ -26,43 +26,41 @@ See ``docs/ANALYSIS.md`` for the rule table, suppression syntax, and
 measured sanitizer overhead.
 """
 
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.engine import Finding, format_findings, lint_file, lint_paths
-from repro.analysis.project import ProjectModel, build_project
-from repro.analysis.report import (
-    findings_to_json,
-    findings_to_sarif,
-    rules_markdown_table,
-    validate_sarif,
-)
-from repro.analysis.rules import RULES, default_rules, rule_table
-from repro.analysis.sanitize import (
-    NullSanitizer,
-    Sanitizer,
-    SanitizerError,
-    sanitize_enabled,
-    sanitizer,
-)
+import importlib
 
-__all__ = [
-    "Finding",
-    "lint_paths",
-    "lint_file",
-    "format_findings",
-    "RULES",
-    "default_rules",
-    "rule_table",
-    "ProjectModel",
-    "build_project",
-    "CallGraph",
-    "build_call_graph",
-    "findings_to_json",
-    "findings_to_sarif",
-    "validate_sarif",
-    "rules_markdown_table",
-    "Sanitizer",
-    "NullSanitizer",
-    "SanitizerError",
-    "sanitizer",
-    "sanitize_enabled",
-]
+#: Each re-exported name and the submodule that defines it.  They resolve
+#: on first access (PEP 562): the library imports only the runtime
+#: sanitizer, so importing it does not compile the lint engine.
+_EXPORTS = {
+    "Finding": "engine",
+    "lint_paths": "engine",
+    "lint_file": "engine",
+    "format_findings": "engine",
+    "RULES": "rules",
+    "default_rules": "rules",
+    "rule_table": "rules",
+    "ProjectModel": "project",
+    "build_project": "project",
+    "CallGraph": "callgraph",
+    "build_call_graph": "callgraph",
+    "findings_to_json": "report",
+    "findings_to_sarif": "report",
+    "validate_sarif": "report",
+    "rules_markdown_table": "report",
+    "Sanitizer": "sanitize",
+    "NullSanitizer": "sanitize",
+    "SanitizerError": "sanitize",
+    "sanitizer": "sanitize",
+    "sanitize_enabled": "sanitize",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

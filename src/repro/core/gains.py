@@ -20,7 +20,6 @@ import heapq
 
 import numpy as np
 
-from repro.graph.partition import exact_weight_bincount
 from repro.utils.errors import ConfigurationError
 
 
@@ -28,25 +27,17 @@ def external_internal_degrees(graph, where):
     """Vectorised ``(ed, id)`` arrays for the bisection ``where``.
 
     O(m); called once per refinement pass, after which the pass maintains
-    the arrays incrementally as vertices move.  The CSR source expansion
-    comes from the graph's cached :meth:`~repro.graph.csr.CSRGraph.edge_sources`
-    — built once per graph, not once per call.
+    the arrays incrementally as vertices move.  ``ed`` is one row sum of
+    the cut edges' weights (:meth:`~repro.graph.csr.CSRGraph.row_sums`, a
+    prefix-sum difference, exact in int64), and ``id = wdeg − ed`` with
+    the graph's cached
+    :meth:`~repro.graph.csr.CSRGraph.weighted_degrees` — built once per
+    graph, like the source expansion the cut test indexes.
     """
     where = np.asarray(where)
-    src = graph.edge_sources()
-    cross = where[src] != where[graph.adjncy]
-    w = graph.adjwgt
-    # Upper bound on either directed-edge weight sum (total_adjwgt is the
-    # undirected half-sum); an over-estimate only ever forces the slower
-    # exact path, never the inexact one.
-    total = 2 * graph.total_adjwgt()
-    ed = exact_weight_bincount(
-        src, np.where(cross, w, 0), minlength=graph.nvtxs, total=total
-    )
-    id_ = exact_weight_bincount(
-        src, np.where(cross, 0, w), minlength=graph.nvtxs, total=total
-    )
-    return ed, id_
+    cross = where[graph.edge_sources()] != np.take(where, graph.adjncy)
+    ed = graph.row_sums(graph.adjwgt * cross)
+    return ed, graph.weighted_degrees() - ed
 
 
 class GainTable:

@@ -95,10 +95,7 @@ def gggp_bisection(graph, target0=None, rng=None, trials=5) -> Bisection:
     # as argmax would.  Edge weights are positive, so gains only rise: a
     # vertex's newest entry outranks its older ones, and an entry popped
     # after it finds the vertex in the region and is dropped.
-    # Accumulate in int64 (bincount's float64 weights round past 2**53).
-    wdeg = np.zeros(n, dtype=np.int64)
-    np.add.at(wdeg, graph.edge_sources(), graph.adjwgt)
-    neg_wdeg = (-wdeg).tolist()
+    neg_wdeg = (-graph.weighted_degrees()).tolist()
 
     best = None
     for _ in range(trials):

@@ -39,7 +39,7 @@ from repro.core.options import MatchingScheme
 from repro.utils.rng import as_generator
 
 UNMATCHED = -1
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_LIMIT = 2**63
 
 
 def _match_loop(graph, rng, pick):
@@ -89,10 +89,13 @@ def _ranked_adjncy(graph, heaviest: bool) -> np.ndarray:
     that scan keeps the earliest extreme.  With all weights equal the
     rows are already ranked and ``adjncy`` is returned as it is.
 
-    Otherwise one stable sort of the fused key ``src·(wmax+1) + r``, with
-    ``r = wmax − w`` (heaviest first) or ``w``, keeps every row in place
-    (``src`` is non-decreasing).  Where ``nvtxs·(wmax+1)`` would overflow
-    int64, ``np.lexsort`` gives the same order.
+    Otherwise the rows are ranked by the fused key ``src·(wmax+1) + r``,
+    with ``r = wmax − w`` (heaviest first) or ``w``, which keeps every row
+    in place (``src`` is non-decreasing).  One ``np.sort`` of the packed
+    key ``(fused << s) | slot``, with every slot index below ``2^s``, is
+    its stable order: the keys are distinct, and equal fused keys compare
+    by slot.  Where the packed key would overflow int64, ``np.lexsort``
+    gives the same order.
     """
     adjncy, adjwgt = graph.adjncy, graph.adjwgt
     if len(adjwgt) == 0 or adjwgt.min() == adjwgt.max():
@@ -100,8 +103,11 @@ def _ranked_adjncy(graph, heaviest: bool) -> np.ndarray:
     wmax = int(adjwgt.max())
     rank = wmax - adjwgt if heaviest else adjwgt
     src = graph.edge_sources()
-    if graph.nvtxs * (wmax + 1) <= _INT64_MAX:
-        order = np.argsort(src * (wmax + 1) + rank, kind="stable")
+    shift = (len(adjncy) - 1).bit_length()
+    if graph.nvtxs * (wmax + 1) << shift <= _INT64_LIMIT:
+        fused = src * (wmax + 1) + rank
+        slots = np.arange(len(adjncy), dtype=np.int64)
+        order = np.sort((fused << shift) | slots) & ((1 << shift) - 1)
     else:
         order = np.lexsort((rank, src))
     return adjncy[order]

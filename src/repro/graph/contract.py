@@ -11,9 +11,13 @@ and are preserved (and tested) here:
   ``W(E_{i+1}) = W(E_i) − W(M_i)``.
 
 The kernel is fully vectorised: it maps every directed edge through the
-coarse map, drops intra-multinode edges, sorts the remainder once on the
-fused key ``cu * ncoarse + cv`` and merges runs of equal keys with
-``np.add.reduceat`` — O(m log m) with NumPy constants.  It is the
+coarse map, drops intra-multinode edges, and sorts the remainder once as
+the packed int64 key ``((cu·ncoarse + cv) << s) | w``, which carries each
+edge weight ``w < 2^s`` in its low bits.  A run of equal high bits is one
+coarse edge: its parallel edges merge as a difference of the weights'
+prefix sum at the run bounds — O(m log m) with NumPy constants.  When the
+packed key would overflow int64, an ``argsort`` of ``cu·ncoarse + cv``
+orders the weights instead; the runs and sums are the same.  It is the
 ``loop`` kernel backend's contraction.
 """
 
@@ -23,6 +27,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import exact_weight_bincount
+
+_INT64_LIMIT = 2**63
 
 
 def coarse_map_from_matching(match) -> tuple[np.ndarray, int]:
@@ -44,13 +50,12 @@ def coarse_map_from_matching(match) -> tuple[np.ndarray, int]:
         given matching.
     """
     match = np.asarray(match, dtype=np.int64)
-    n = len(match)
-    leader = np.minimum(np.arange(n, dtype=np.int64), match)
-    is_leader = leader == np.arange(n)
-    cmap = np.empty(n, dtype=np.int64)
-    cmap[is_leader] = np.arange(int(is_leader.sum()), dtype=np.int64)
-    cmap[~is_leader] = cmap[leader[~is_leader]]
-    return cmap, int(is_leader.sum())
+    arange = np.arange(len(match), dtype=np.int64)
+    leader = np.minimum(arange, match)
+    # A pair's leader is its smaller member, a leader of itself: numbering
+    # the leaders in order is one running count.
+    number = np.cumsum(leader == arange) - 1
+    return number[leader], int(number[-1]) + 1 if len(number) else 0
 
 
 def contract(graph, cmap, ncoarse) -> CSRGraph:
@@ -62,28 +67,43 @@ def contract(graph, cmap, ncoarse) -> CSRGraph:
     """
     cmap = np.asarray(cmap, dtype=np.int64)
     cu = cmap[graph.edge_sources()]
-    cv = cmap[graph.adjncy]
+    # np.take gathers through adjncy's int32 ids faster than indexing.
+    cv = np.take(cmap, graph.adjncy)
     keep = cu != cv  # drop collapsed (intra-multinode) edges
-    # One sort on the fused key: collision-free because both factors are
-    # below ncoarse, and ncoarse² < 2⁶³ for any graph that fits in memory.
-    key = cu[keep] * np.int64(ncoarse) + cv[keep]
-    order = np.argsort(key)
-    key, w = key[order], graph.adjwgt[keep][order]
-    # Parallel edges created by the union merge by int64 summation, which
-    # no order within a run of equal keys can change.
-    new_run = np.ones(len(key), dtype=bool)
-    new_run[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new_run)
-    mu, mv = np.divmod(key[starts], ncoarse)
+    # The fused key cu·ncoarse + cv is collision-free because both factors
+    # are below ncoarse, and ncoarse² < 2⁶³ for any graph that fits in
+    # memory.  Packing the weight below it sorts keys and weights at once.
+    key = cu * np.int64(ncoarse) + cv
+    adjwgt = graph.adjwgt
+    shift = int(adjwgt.max()).bit_length() if len(adjwgt) else 0
+    if int(ncoarse) ** 2 << shift <= _INT64_LIMIT:
+        key <<= shift
+        key |= adjwgt
+        packed = np.sort(np.compress(keep, key))
+        key, w = packed >> shift, packed & ((1 << shift) - 1)
+    else:
+        key, w = np.compress(keep, key), np.compress(keep, adjwgt)
+        order = np.argsort(key)
+        key, w = key[order], w[order]
+    # Each run of equal keys is one coarse edge, its parallel edges merged
+    # by int64 summation, which no order within the run can change.  The
+    # sums are differences of one prefix sum at the runs' last entries,
+    # exact because validation bounds the total edge weight by the int64
+    # maximum.
+    last = np.empty(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    last[-1:] = True
+    ends = np.flatnonzero(last)
+    mu = key[ends] // ncoarse
+    mv = key[ends] - mu * ncoarse
     xadj = np.zeros(ncoarse + 1, dtype=np.int64)
     np.cumsum(np.bincount(mu, minlength=ncoarse), out=xadj[1:])
+    merged = np.diff(np.cumsum(w)[ends], prepend=0)
 
     cvwgt = exact_weight_bincount(
         cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
     )
-    coarse = CSRGraph(
-        xadj, mv, np.add.reduceat(w, starts), cvwgt, validate=False
-    )
+    coarse = CSRGraph(xadj, mv, merged, cvwgt, validate=False)
     propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
     return coarse
 

@@ -58,7 +58,10 @@ class CSRGraph:
         O(m log m) check.
     """
 
-    __slots__ = ("xadj", "adjncy", "adjwgt", "vwgt", "_coords", "_degrees", "_src")
+    __slots__ = (
+        "xadj", "adjncy", "adjwgt", "vwgt", "_coords", "_degrees", "_src",
+        "_wdeg",
+    )
 
     def __init__(self, xadj, adjncy, adjwgt=None, vwgt=None, *, validate=True):
         cast = checked_cast if validate else _cast
@@ -80,6 +83,7 @@ class CSRGraph:
         self._coords = None  # optional vertex coordinates (geometric methods)
         self._degrees = None  # cached np.diff(xadj); see degrees()
         self._src = None  # cached edge-source expansion; see edge_sources()
+        self._wdeg = None  # cached weighted degrees; see weighted_degrees()
         if validate:
             validate_graph(self)
 
@@ -146,6 +150,29 @@ class CSRGraph:
                 np.arange(self.nvtxs, dtype=np.int64), self.degrees()
             )
         return self._src
+
+    def row_sums(self, values) -> np.ndarray:
+        """Sum of ``values`` over each vertex's adjacency slots, as int64.
+
+        ``values`` is parallel to ``adjncy``.  One prefix sum and one
+        difference at the row bounds ``xadj``: exact for the non-negative
+        weight data it serves, since validation bounds every weight total
+        by the int64 maximum, so no partial sum can wrap.
+        """
+        csum = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(values, out=csum[1:])
+        return np.diff(csum[self.xadj])
+
+    def weighted_degrees(self) -> np.ndarray:
+        """Total edge weight at every vertex (cached; do not mutate).
+
+        ``weighted_degrees()[v]`` is the sum of ``v``'s edge weights, i.e.
+        ``ed[v] + id[v]`` under any bisection.  Built once per graph, like
+        :meth:`edge_sources`.
+        """
+        if self._wdeg is None:
+            self._wdeg = self.row_sums(self.adjwgt)
+        return self._wdeg
 
     def neighbors(self, v: int) -> np.ndarray:
         """View of vertex ``v``'s adjacency list (do not mutate)."""

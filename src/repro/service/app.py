@@ -15,8 +15,9 @@ in front of the library's drivers:
   bit-identically — same ``where`` vector, same ``where_sha256`` — with
   no partitioner phase spans emitted.  Identical requests arriving while
   the first is still computing coalesce onto the same job (single-flight).
-  Requests with a ``deadline`` bypass the cache entirely: their results
-  depend on wall-clock, so they are neither stored nor served from store.
+  Requests whose result can depend on the wall clock (a ``deadline`` on
+  any method but MMD, which reads no option) bypass the cache entirely:
+  they are neither stored nor served from store.
   In front of the cache, a bounded **body memo** maps a digest of the raw
   request bytes to the key of the response they were answered with, so a
   repeated body is answered without decoding or validating it again.
@@ -233,7 +234,11 @@ class PartitionService:
     # -- request handlers ----------------------------------------------
 
     def _prepare_partition(self, body: dict):
-        """Parse a /partition body into (graph, options, job, key)."""
+        """Parse a /partition body into ``(clocked, job, key)``.
+
+        ``clocked`` says whether the result can depend on the wall clock,
+        which a deadline lets it do.
+        """
         graph = graph_from_request(body)
         options = parse_options(body.get("options"))
         nparts = typed_param(body, "nparts", int, 2)
@@ -261,10 +266,11 @@ class PartitionService:
                 result = kway_partition(graph, nparts, opts)
             return partition_response(graph, result, key=key)
 
-        return options, job, key
+        return options.deadline is not None, job, key
 
     def _prepare_order(self, body: dict):
-        """Parse an /order body into (graph, options, job, key)."""
+        """Parse an /order body into ``(clocked, job, key)``, as
+        :meth:`_prepare_partition` does."""
         graph = graph_from_request(body)
         options = parse_options(body.get("options"))
         method = typed_param(body, "method", str, "mlnd")
@@ -298,7 +304,8 @@ class PartitionService:
                 ordering = mlnd_ordering(graph, opts)
             return ordering_response(ordering, key=key, method=method)
 
-        return options, job, key
+        # MMD never reads the deadline either: the clock cannot change it.
+        return method != "mmd" and options.deadline is not None, job, key
 
     def _memo_hit(self, digest: str):
         """The cached response of a memoised body, or ``None``.
@@ -323,9 +330,9 @@ class PartitionService:
         raw body's memo key, against its cache key.
         """
         prepare = self._prepare_partition if kind == "partition" else self._prepare_order
-        options, job, key = prepare(body)
-        # Deadline runs depend on wall-clock: bypass the cache both ways.
-        use_cache = options.deadline is None
+        clocked, job, key = prepare(body)
+        # Clocked runs depend on wall-clock: bypass the cache both ways.
+        use_cache = not clocked
         response = self.cache.get(key) if use_cache else None
         cached = response is not None
         if use_cache:
@@ -344,12 +351,12 @@ class PartitionService:
     async def _stream_product(self, prepared):
         """ndjson progress stream for /partition + /order requests.
 
-        ``prepared`` is the ``(options, job, key)`` triple from the
+        ``prepared`` is the ``(clocked, job, key)`` triple from the
         ``_prepare_*`` step — parsing happens *before* the 200 header goes
         out, so malformed requests still get a clean 400.
         """
-        options, job, key = prepared
-        use_cache = options.deadline is None
+        clocked, job, key = prepared
+        use_cache = not clocked
         if use_cache:
             cached = self.cache.get(key)
             if cached is not None:

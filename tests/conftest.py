@@ -6,8 +6,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, from_edge_list
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +73,36 @@ def random_graph(n, p, seed=0, *, connected=False):
 
         g, _ = largest_component(g)
     return g
+
+
+@st.composite
+def kernel_graphs(draw, max_n=20):
+    """A small graph for the per-level kernel oracles.
+
+    Often disconnected (isolated vertices, several components) and
+    sometimes edgeless.  Its edge and vertex weights are either small and
+    tie-prone or at validation's bound ``max(w)·len(w) ≤ INT64_MAX``,
+    where every packed sort key overflows and takes its fallback.
+    """
+    n = draw(st.integers(1, max_n))
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(
+        st.lists(st.sampled_from(possible), unique=True, max_size=50)
+    ) if possible else []
+    heavy = draw(st.booleans())
+
+    def weights(count, stored):
+        # ``stored`` entries hold the ``count`` weights (two per edge).
+        low, high = 1, 3
+        if heavy and count:
+            high = INT64_MAX // stored
+            low = high - 2
+        return draw(st.lists(st.integers(low, high), min_size=count,
+                             max_size=count))
+
+    return from_edge_list(
+        n, pairs, weights(len(pairs), 2 * len(pairs)), vwgt=weights(n, n)
+    )
 
 
 @pytest.fixture

@@ -5,6 +5,9 @@ must find all of them (with the right ids, files and lines), honour
 ``# repro: noqa[...]`` suppressions, and exit cleanly on the shipped tree.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,3 +285,45 @@ class TestShippedTree:
     def test_default_rules_cover_rp001_to_rp018(self):
         ids = [r.id for r in default_rules()]
         assert ids == [f"RP{i:03d}" for i in range(1, 19)]
+
+
+#: The lint engine's modules, which a library import must not load.
+LINT_MODULES = ("callgraph", "dataflow", "engine", "project", "report",
+                "rules", "sections", "suppress")
+
+FRESH_IMPORT = f"""
+import sys
+import repro.core.multilevel, repro.ordering.nested_dissection
+loaded = sorted(name for name in {LINT_MODULES!r}
+                if "repro.analysis." + name in sys.modules)
+assert not loaded, loaded
+assert "repro.analysis.sanitize" in sys.modules
+from repro.analysis import Sanitizer, lint_paths
+assert lint_paths.__module__ == "repro.analysis.engine"
+assert Sanitizer.__module__ == "repro.analysis.sanitize"
+print("ok")
+"""
+
+
+class TestLazyExports:
+    """``repro.analysis`` resolves its re-exports on first access."""
+
+    def test_library_import_leaves_the_lint_engine_unloaded(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", FRESH_IMPORT], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
+    def test_every_export_resolves(self):
+        import repro.analysis
+
+        for name in repro.analysis.__all__:
+            assert getattr(repro.analysis, name) is not None, name
+        with pytest.raises(AttributeError):
+            getattr(repro.analysis, "no_such_name")

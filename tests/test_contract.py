@@ -1,18 +1,113 @@
 """Tests for the graph contraction kernel and its paper invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.coarsen import coarsen
 from repro.core.matching import hem_matching, rm_matching
+from repro.core.options import DEFAULT_OPTIONS
 from repro.graph import (
+    CSRGraph,
     coarse_map_from_matching,
     contract,
     from_edge_list,
     matching_weight,
     validate_graph,
 )
-from repro.graph.contract import collapsed_edge_weight
-from tests.conftest import complete_graph, path_graph, random_graph
+from repro.graph.contract import collapsed_edge_weight, propagate_coords
+from repro.graph.partition import exact_weight_bincount
+from repro.matrices import load
+from tests.conftest import (
+    INT64_MAX,
+    complete_graph,
+    kernel_graphs,
+    path_graph,
+    random_graph,
+)
+
+
+def _reference_coarse_map(match):
+    """The multinode numbering as it was before the one-cumsum kernel."""
+    match = np.asarray(match, dtype=np.int64)
+    n = len(match)
+    leader = np.minimum(np.arange(n, dtype=np.int64), match)
+    is_leader = leader == np.arange(n)
+    cmap = np.empty(n, dtype=np.int64)
+    cmap[is_leader] = np.arange(int(is_leader.sum()), dtype=np.int64)
+    cmap[~is_leader] = cmap[leader[~is_leader]]
+    return cmap, int(is_leader.sum())
+
+
+def _reference_contract(graph, cmap, ncoarse):
+    """Contraction as it was before the packed sort: an ``argsort`` of the
+    fused key, two permutes and ``np.add.reduceat`` over the runs."""
+    cmap = np.asarray(cmap, dtype=np.int64)
+    cu = cmap[graph.edge_sources()]
+    cv = cmap[graph.adjncy]
+    keep = cu != cv
+    key = cu[keep] * np.int64(ncoarse) + cv[keep]
+    order = np.argsort(key)
+    key, w = key[order], graph.adjwgt[keep][order]
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_run)
+    mu, mv = np.divmod(key[starts], ncoarse)
+    xadj = np.zeros(ncoarse + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mu, minlength=ncoarse), out=xadj[1:])
+    cvwgt = exact_weight_bincount(
+        cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
+    )
+    coarse = CSRGraph(
+        xadj, mv, np.add.reduceat(w, starts), cvwgt, validate=False
+    )
+    propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
+    return coarse
+
+
+def _packs_contract_key(graph, ncoarse) -> bool:
+    """Whether ``contract`` sorts ``graph``'s edges by the packed key."""
+    shift = int(graph.adjwgt.max(initial=0)).bit_length()
+    return ncoarse**2 << shift <= 2**63
+
+
+def assert_same_arrays(got, ref):
+    """Equal CSR arrays, dtype for dtype."""
+    for name in ("xadj", "adjncy", "adjwgt", "vwgt"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def _grouped(draw):
+    """A graph and an arbitrary grouping of its vertices: dense ids
+    ``0..ncoarse-1``, each used, in any arrangement (not only pairs)."""
+    graph = draw(kernel_graphs())
+    n = graph.nvtxs
+    ncoarse = draw(st.integers(1, n))
+    order = draw(st.permutations(range(n)))
+    rest = draw(st.lists(st.integers(0, ncoarse - 1), min_size=n - ncoarse,
+                         max_size=n - ncoarse))
+    cmap = np.empty(n, dtype=np.int64)
+    cmap[order[:ncoarse]] = np.arange(ncoarse)
+    cmap[order[ncoarse:]] = rest
+    return graph, cmap, ncoarse
+
+
+@st.composite
+def _involutions(draw):
+    """Any involution on ``0..n-1``: disjoint pairs, the rest fixed."""
+    n = draw(st.integers(0, 40))
+    order = draw(st.permutations(range(n)))
+    npairs = draw(st.integers(0, n // 2))
+    match = np.arange(n, dtype=np.int64)
+    a, b = order[:npairs], order[npairs:2 * npairs]
+    match[a], match[b] = b, a
+    return match
 
 
 class TestCoarseMap:
@@ -109,6 +204,80 @@ class TestContract:
         coarse_where = rng.integers(0, 2, nc)
         fine_where = coarse_where[cmap]
         assert edge_cut(coarse, coarse_where) == edge_cut(g, fine_where)
+
+
+class TestReferenceOracle:
+    """The packed-sort contraction and the one-cumsum numbering are bit
+    for bit the kernels they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(match=_involutions())
+    def test_coarse_map_of_any_involution(self, match):
+        got, ref = coarse_map_from_matching(match), _reference_coarse_map(match)
+        assert got[0].dtype == ref[0].dtype
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_grouped())
+    def test_arbitrary_groupings(self, case):
+        graph, cmap, ncoarse = case
+        assert_same_arrays(
+            contract(graph, cmap, ncoarse),
+            _reference_contract(graph, cmap, ncoarse),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=kernel_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_matchings(self, graph, seed):
+        for matching in (hem_matching, rm_matching):
+            match = matching(graph, np.random.default_rng(seed))
+            cmap, ncoarse = coarse_map_from_matching(match)
+            ref_cmap, ref_ncoarse = _reference_coarse_map(match)
+            assert np.array_equal(cmap, ref_cmap) and ncoarse == ref_ncoarse
+            assert_same_arrays(
+                contract(graph, cmap, ncoarse),
+                _reference_contract(graph, cmap, ncoarse),
+            )
+
+    def test_a_single_vertex(self):
+        single = from_edge_list(1, [])
+        cmap = np.zeros(1, dtype=np.int64)
+        assert_same_arrays(
+            contract(single, cmap, 1), _reference_contract(single, cmap, 1)
+        )
+
+    def test_full_collapse(self):
+        g = random_graph(30, 0.2, seed=4)
+        cmap = np.zeros(g.nvtxs, dtype=np.int64)
+        coarse = contract(g, cmap, 1)
+        assert coarse.nvtxs == 1 and coarse.nedges == 0
+        assert_same_arrays(coarse, _reference_contract(g, cmap, 1))
+
+    @pytest.mark.parametrize("ncoarse,packed", [(2, True), (3, False)])
+    def test_weights_at_the_bound_take_the_argsort_fallback(
+        self, ncoarse, packed
+    ):
+        # K4 at validation's bound: 2^59 ≤ w < 2^60, so the packed key
+        # fits for two coarse vertices (4·2^60 ≤ 2^63) and not for three.
+        edges = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
+        bound = INT64_MAX // (2 * len(edges))
+        g = from_edge_list(4, edges, [bound - i % 3 for i in range(6)])
+        cmap = np.array([0, 1, 1, ncoarse - 1])
+        assert _packs_contract_key(g, ncoarse) is packed
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            got = contract(g, cmap, ncoarse)
+        assert spy.called is not packed
+        assert_same_arrays(got, _reference_contract(g, cmap, ncoarse))
+
+    def test_coarsening_hierarchy_levels(self):
+        for name, scale in (("4ELT", 0.3), ("BCSSTK31", 0.5)):
+            graph = load(name, scale=scale, seed=0)
+            hierarchy = coarsen(graph, DEFAULT_OPTIONS, np.random.default_rng(5))
+            for level, cmap in enumerate(hierarchy.cmaps):
+                fine, coarse = hierarchy.graphs[level : level + 2]
+                assert_same_arrays(
+                    coarse, _reference_contract(fine, cmap, coarse.nvtxs)
+                )
 
 
 class TestCollapsedEdgeWeight:

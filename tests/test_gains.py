@@ -2,10 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.gains import GainTable, external_internal_degrees
 from repro.graph import from_edge_list
-from tests.conftest import path_graph, random_graph
+from repro.graph.partition import exact_weight_bincount
+from tests.conftest import kernel_graphs, path_graph, random_graph
+
+
+def _reference_external_internal_degrees(graph, where):
+    """``(ed, id)`` as they were before the row sums: two exact weighted
+    bincounts over the edge sources."""
+    where = np.asarray(where)
+    src = graph.edge_sources()
+    cross = where[src] != where[graph.adjncy]
+    w = graph.adjwgt
+    total = 2 * graph.total_adjwgt()
+    ed = exact_weight_bincount(
+        src, np.where(cross, w, 0), minlength=graph.nvtxs, total=total
+    )
+    id_ = exact_weight_bincount(
+        src, np.where(cross, 0, w), minlength=graph.nvtxs, total=total
+    )
+    return ed, id_
+
+
+@st.composite
+def _labelled(draw):
+    """A kernel-oracle graph and a labelling of its vertices into 1–3
+    parts (``ed`` counts every edge whose endpoints differ)."""
+    graph = draw(kernel_graphs())
+    parts = draw(st.integers(1, 3))
+    where = draw(st.lists(st.integers(0, parts - 1), min_size=graph.nvtxs,
+                          max_size=graph.nvtxs))
+    return graph, np.array(where, dtype=np.int32)
 
 
 class TestExternalInternalDegrees:
@@ -40,6 +71,28 @@ class TestExternalInternalDegrees:
         g = path_graph(5)
         ed, id_ = external_internal_degrees(g, np.zeros(5, dtype=np.int8))
         assert ed.sum() == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_labelled())
+    def test_matches_the_reference(self, case):
+        # Weights at validation's bound put the reference on its exact
+        # np.add.at path; the row sums must agree there too.
+        graph, where = case
+        got = external_internal_degrees(graph, where)
+        ref = _reference_external_internal_degrees(graph, where)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[0] + got[1], graph.weighted_degrees())
+
+    def test_arrays_are_the_callers_to_update(self):
+        # A pass updates ed and id in place: neither may be the cache.
+        g = random_graph(20, 0.3, seed=6)
+        ed, id_ = external_internal_degrees(g, np.arange(g.nvtxs) % 2)
+        wdeg = g.weighted_degrees().copy()
+        ed += 1
+        id_ += 1
+        assert np.array_equal(g.weighted_degrees(), wdeg)
 
 
 class TestGainTable:

@@ -1,5 +1,7 @@
 """Tests for the four matching schemes (§3.1)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,10 @@ from repro.graph.contract import collapsed_edge_weight
 from repro.matrices import load
 from repro.utils.rng import as_generator
 from tests.conftest import (
+    INT64_MAX,
     complete_graph,
     cycle_graph,
+    kernel_graphs,
     path_graph,
     random_graph,
     star_graph,
@@ -276,17 +280,14 @@ def _weighted_graphs(draw):
     return graph, np.array(cewgt, dtype=np.int64)
 
 
-INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 @st.composite
 def _heavy_graphs(draw):
     """A small graph whose edge weights sit just under validation's bound
     ``max(w)·len(w) ≤ INT64_MAX``, with some isolated vertices.
 
-    Whether the fused ranking key ``src·(wmax+1) + r`` fits int64 then
-    turns on ``nvtxs`` against the adjacency length, so the sweep meets
-    both ranking paths (:func:`_uses_fused_key`).
+    The packed ranking key ``(src·(wmax+1) + r) << s | slot`` never fits
+    int64 then, so these graphs rank by the ``lexsort`` fallback
+    (:func:`_uses_fused_key`).
     """
     n = draw(st.integers(2, 12))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -306,8 +307,26 @@ def _heavy_graphs(draw):
 
 
 def _uses_fused_key(graph) -> bool:
-    """Whether ``_ranked_adjncy`` sorts ``graph`` by the fused key."""
-    return graph.nvtxs * (int(graph.adjwgt.max()) + 1) <= INT64_MAX
+    """Whether ``_ranked_adjncy`` sorts ``graph`` by the packed fused key
+    rather than by ``np.lexsort``."""
+    shift = (len(graph.adjncy) - 1).bit_length()
+    return graph.nvtxs * (int(graph.adjwgt.max()) + 1) << shift <= 2**63
+
+
+def _reference_ranked_adjncy(graph, heaviest):
+    """The ranking as it was before the packed sort: a stable ``argsort``
+    of the fused key, or ``np.lexsort`` where that key overflows."""
+    adjncy, adjwgt = graph.adjncy, graph.adjwgt
+    if len(adjwgt) == 0 or adjwgt.min() == adjwgt.max():
+        return adjncy
+    wmax = int(adjwgt.max())
+    rank = wmax - adjwgt if heaviest else adjwgt
+    src = graph.edge_sources()
+    if graph.nvtxs * (wmax + 1) <= INT64_MAX:
+        order = np.argsort(src * (wmax + 1) + rank, kind="stable")
+    else:
+        order = np.lexsort((rank, src))
+    return adjncy[order]
 
 
 def _row_ranked(graph, heaviest):
@@ -322,11 +341,11 @@ def _row_ranked(graph, heaviest):
     return rows
 
 
-# K4 with weights just under validation's bound: nvtxs·(wmax+1) fits
-# int64, and with 20 isolated vertices more it does not.
+# K4 with weights just below 2^57: its packed key nvtxs·(wmax+1)·2^4 (12
+# slots) reaches exactly 2^63 and fits int64; with 20 isolated vertices
+# more it does not.
 _K4_EDGES = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
-_K4_BOUND = INT64_MAX // (2 * len(_K4_EDGES))
-_K4_WEIGHTS = [_K4_BOUND - i % 3 for i in range(len(_K4_EDGES))]
+_K4_WEIGHTS = [2**57 - 1 - i % 3 for i in range(len(_K4_EDGES))]
 NEAR_BOUND = {
     "fused": from_edge_list(4, _K4_EDGES, _K4_WEIGHTS),
     "lexsort": from_edge_list(24, _K4_EDGES, _K4_WEIGHTS),
@@ -413,5 +432,17 @@ class TestRankedAdjacency:
         graph = NEAR_BOUND[path]
         assert _uses_fused_key(graph) == (path == "fused")
         for heaviest in (True, False):
-            got = _ranked_adjncy(graph, heaviest)
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as spy:
+                got = _ranked_adjncy(graph, heaviest)
+            assert spy.called == (path == "lexsort")
             assert got.tolist() == _row_ranked(graph, heaviest)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graph=st.one_of(kernel_graphs(), _heavy_graphs(),
+                           _weighted_graphs().map(lambda case: case[0])))
+    def test_matches_the_reference(self, graph):
+        for heaviest in (True, False):
+            got = _ranked_adjncy(graph, heaviest)
+            ref = _reference_ranked_adjncy(graph, heaviest)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)

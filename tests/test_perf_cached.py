@@ -1,16 +1,19 @@
 """Regression tests for the cached CSR expansion arrays.
 
-``CSRGraph.degrees()`` / ``CSRGraph.edge_sources()`` exist so hot paths
-(gain seeding, boundary extraction, metrics) stop re-materialising
-``np.diff(xadj)`` / ``np.repeat(arange, degrees)`` on every call.  These
-tests pin the contract: one build per graph, ever — the lint rule RP011
-keeps new inline rebuilds out of ``core/``, this keeps the cache itself
-honest.
+``CSRGraph.degrees()`` / ``CSRGraph.edge_sources()`` /
+``CSRGraph.weighted_degrees()`` exist so hot paths (gain seeding,
+boundary extraction, metrics, GGGP) stop re-materialising
+``np.diff(xadj)`` / ``np.repeat(arange, degrees)`` / the per-vertex edge
+weight sums on every call.  These tests pin the contract: one build per
+graph, ever — the lint rule RP011 keeps new inline rebuilds out of
+``core/``, this keeps the cache itself honest.
 """
 
 import numpy as np
 
 from repro.core.gains import external_internal_degrees
+from repro.core.initial import gggp_bisection
+from repro.graph import CSRGraph, from_edge_list
 from repro.matrices import grid2d
 from tests.conftest import random_graph
 
@@ -50,6 +53,40 @@ class TestCachedArrays:
         assert calls["repeat"] == 1, (
             f"expected exactly one np.repeat build per graph, "
             f"saw {calls['repeat']}"
+        )
+
+    def test_weighted_degrees_cached_and_correct(self):
+        g = random_graph(30, 0.2, seed=4)
+        wdeg = g.weighted_degrees()
+        expected = np.zeros(g.nvtxs, dtype=np.int64)
+        np.add.at(expected, g.edge_sources(), g.adjwgt)
+        assert wdeg.dtype == np.int64
+        assert np.array_equal(wdeg, expected)
+        assert g.weighted_degrees() is wdeg
+        edgeless = from_edge_list(3, [])
+        assert edgeless.weighted_degrees().tolist() == [0, 0, 0]
+
+    def test_one_weighted_degrees_build_per_graph(self, monkeypatch):
+        g = random_graph(40, 0.15, seed=2)
+        builds = []
+        real_row_sums = CSRGraph.row_sums
+
+        def counting_row_sums(graph, values):
+            if values is graph.adjwgt:
+                builds.append(graph)
+            return real_row_sums(graph, values)
+
+        monkeypatch.setattr(CSRGraph, "row_sums", counting_row_sums)
+        wdeg = g.weighted_degrees()
+        where = np.zeros(g.nvtxs, dtype=np.int32)
+        where[: g.nvtxs // 2] = 1
+        external_internal_degrees(g, where)
+        external_internal_degrees(g, where)
+        gggp_bisection(g, rng=np.random.default_rng(0))
+        assert g.weighted_degrees() is wdeg
+        assert builds == [g], (
+            f"expected exactly one weighted_degrees() build per graph, "
+            f"saw {len(builds)}"
         )
 
     def test_gain_seeding_matches_bruteforce(self):

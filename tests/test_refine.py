@@ -558,8 +558,10 @@ class TestKernelSpeed:
             )
             return result, where, pwgts
 
+        # Best of 5 interleaved repeats per side: a burst of host load
+        # then slows one of several calls, not the whole comparison.
         (t_ref, ref), (t_loop, got) = interleaved_best(
-            lambda: run(_reference_fm_pass), lambda: run(fm_pass), repeats=2
+            lambda: run(_reference_fm_pass), lambda: run(fm_pass), repeats=5
         )
         assert got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])

@@ -943,6 +943,32 @@ class TestCaching:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize(
+        "method,runs", [("mmd", 1), ("mlnd", 2), ("snd", 2)]
+    )
+    def test_a_deadline_bypasses_the_cache_only_where_the_clock_counts(
+        self, method, runs
+    ):
+        # A deadline can cut MLND and SND short, so their results are
+        # neither stored nor served.  mmd_ordering reads no option, so the
+        # clock cannot change its bits: the repeat is a hit.
+        svc = PartitionService()
+        try:
+            body = {
+                "graph": _inline(grid2d(20, 20)), "method": method,
+                "options": {"deadline": 10.0},
+            }
+            replies = [_handle(svc, "POST", "/order", body) for _ in range(2)]
+            assert [status for status, _, _ in replies] == [200, 200]
+            assert [p["cached"] for _, p, _ in replies] == [False, runs == 1]
+            assert svc.queue.stats()["completed"] == runs
+            _, _, records = _handle(
+                svc, "POST", "/order", {**body, "stream": True}
+            )
+            assert records[0]["cached"] is (runs == 1)
+        finally:
+            svc.close()
+
     def test_concurrent_fan_in_single_flight(self, tmp_path):
         """N identical concurrent requests compute the result once."""
         body = {
