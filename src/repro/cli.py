@@ -186,28 +186,34 @@ def build_parser() -> argparse.ArgumentParser:
             "content-addressed result cache (docs/SERVICE.md)"
         ),
     )
+    service = _service_defaults()
     p.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8157, help="bind port (default 8157)")
     p.add_argument(
-        "--cache-size", type=int, default=128, metavar="N",
-        help="result-cache capacity in entries; 0 disables caching (default 128)",
+        "--cache-size", type=int, default=service["cache_size"], metavar="N",
+        help="result-cache capacity in entries; 0 disables caching "
+             "(default %(default)s)",
     )
     p.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
+        "--cache-ttl", type=float, default=service["cache_ttl"],
+        metavar="SECONDS",
         help="seconds a cached result stays servable (default: no expiry)",
     )
     p.add_argument(
-        "--queue-workers", type=int, default=2, metavar="N",
-        help="concurrently running jobs (default 2)",
+        "--queue-workers", type=int, default=service["queue_workers"],
+        metavar="N",
+        help="concurrently running jobs (default %(default)s; see "
+             "docs/SERVICE.md before raising it)",
     )
     p.add_argument(
-        "--backlog", type=int, default=16, metavar="N",
+        "--backlog", type=int, default=service["backlog"], metavar="N",
         help="jobs allowed to wait beyond the running ones; past that the "
-             "service answers 503 (default 16)",
+             "service answers 503 (default %(default)s)",
     )
     p.add_argument(
-        "--max-body", type=int, default=64 << 20, metavar="BYTES",
-        help="request-body cap; larger posts answer 413 (default 64 MiB)",
+        "--max-body", type=int, default=service["max_body"], metavar="BYTES",
+        help="request-body cap; larger posts answer 413 "
+             f"(default {service['max_body'] >> 20} MiB)",
     )
     p.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -252,6 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
+
+
+def _service_defaults() -> dict:
+    """:class:`~repro.service.app.PartitionService`'s keyword defaults,
+    the one source of ``repro serve``'s."""
+    import inspect
+
+    from repro.service import PartitionService
+
+    return {
+        name: param.default
+        for name, param in inspect.signature(PartitionService).parameters.items()
+    }
 
 
 def main(argv=None) -> int:
@@ -386,7 +405,7 @@ def _cmd_serve(args) -> int:
         f"repro service listening on http://{args.host}:{args.port} "
         f"(cache {args.cache_size} entries"
         + (f", ttl {args.cache_ttl:g}s" if args.cache_ttl else "")
-        + f"; {args.queue_workers} workers, backlog {args.backlog})"
+        + f"; queue workers {args.queue_workers}, backlog {args.backlog})"
     )
     print("POST /partition | POST /order | GET /healthz | GET /stats | DELETE /cache")
     serve(

@@ -6,8 +6,9 @@ in front of the library's drivers:
 * ``POST /partition`` — k-way partition an inline CSR graph or a named
   :mod:`repro.matrices` workload; ``POST /order`` — a fill-reducing
   ordering (mlnd/mmd/snd).  Jobs run on the bounded
-  :class:`~repro.service.jobs.JobQueue`; per-request ``options.deadline``
-  degrades gracefully inside the job (the response carries the
+  :class:`~repro.service.jobs.JobQueue`, one at a time by default;
+  per-request ``options.deadline`` degrades gracefully inside the job
+  (the response carries the
   :class:`~repro.resilience.report.ResilienceReport`, never a 500).
 * A **content-addressed result cache**
   (:class:`~repro.service.cache.ResultCache`) keyed by the CSR bytes plus
@@ -55,7 +56,7 @@ from repro.obs.schema import PHASE_KEYS
 from repro.obs.tracer import NULL as NULL_TRACER
 from repro.obs.tracer import open_tracer, trace_target
 from repro.service.cache import ResultCache, request_key
-from repro.service.jobs import JobQueue
+from repro.service.jobs import DEFAULT_WORKERS, JobQueue, last_job_times
 from repro.service.schema import (
     ORDER_METHODS,
     ServiceRequestError,
@@ -118,7 +119,8 @@ class PartitionService:
         lifetime (``ttl=None`` disables expiry, ``cache_size=0`` disables
         caching).  ``cache_size`` also bounds the body memo.
     queue_workers, backlog:
-        :class:`~repro.service.jobs.JobQueue` bounds.
+        :class:`~repro.service.jobs.JobQueue` bounds: jobs running at once
+        (one by default, see :mod:`repro.service.jobs`) and jobs waiting.
     trace:
         Optional JSONL trace target (path, or ``-`` for stdout) for the
         service's own tracer; ``None`` falls back to ``REPRO_TRACE``.
@@ -127,7 +129,7 @@ class PartitionService:
     """
 
     def __init__(self, *, cache_size: int = 128, cache_ttl: float | None = None,
-                 queue_workers: int = 2, backlog: int = 16,
+                 queue_workers: int = DEFAULT_WORKERS, backlog: int = 16,
                  trace: str | None = None, max_body: int = 64 << 20):
         if trace is None:
             trace = trace_target()
@@ -215,7 +217,8 @@ class PartitionService:
         self._inflight[key] = future
         try:
             response = await self.queue.run(job)
-            self._event("service.job.run", key=key)
+            wait_s, run_s = last_job_times()
+            self._event("service.job.run", key=key, wait_s=wait_s, run_s=run_s)
             future.set_result(response)
             return response, True
         except BaseException as exc:
@@ -621,10 +624,17 @@ async def _read_request(reader, max_body: int):
     return method, path, headers, body, False
 
 
-async def _handle_connection(service: PartitionService, reader, writer):
-    """Serve one client connection (keep-alive loop)."""
+async def _handle_connection(service: PartitionService, reader, writer,
+                             idle: set, stop: asyncio.Event):
+    """Serve one client connection (keep-alive loop).
+
+    While it waits for the next request, the connection's ``writer`` is in
+    ``idle``, where shutdown closes it; once ``stop`` is set, it reads no
+    further request.
+    """
     try:
-        while True:
+        while not stop.is_set():
+            idle.add(writer)
             try:
                 request = await _read_request(reader, service.max_body)
             except (asyncio.TimeoutError, TimeoutError,
@@ -639,6 +649,8 @@ async def _handle_connection(service: PartitionService, reader, writer):
                 )
                 await writer.drain()
                 return
+            finally:
+                idle.discard(writer)
             if request is None:
                 return
             method, path, headers, raw_body, too_large = request
@@ -706,14 +718,19 @@ async def serve_async(service: PartitionService, host: str = "127.0.0.1",
 
     ``ready`` (a callable) receives the bound ``(host, port)`` once the
     socket is listening — how embedders and tests learn an ephemeral port.
+    Once ``stop`` is set the server accepts no connection, closes the idle
+    ones and returns when every request in progress has been answered.
     """
+    if stop is None:
+        stop = asyncio.Event()
     connections: set[asyncio.Task] = set()
+    idle: set[asyncio.StreamWriter] = set()
 
     async def handler(reader, writer):
         task = asyncio.current_task()
         connections.add(task)
         try:
-            await _handle_connection(service, reader, writer)
+            await _handle_connection(service, reader, writer, idle, stop)
         finally:
             connections.discard(task)
 
@@ -721,16 +738,18 @@ async def serve_async(service: PartitionService, host: str = "127.0.0.1",
     bound = server.sockets[0].getsockname()[:2]
     if ready is not None:
         ready(bound)
-    if stop is None:
-        stop = asyncio.Event()
     async with server:
         await stop.wait()
-    # Idle keep-alive connections would otherwise outlive the loop and
-    # close their transports after loop.close() (an unraisable error).
-    for task in list(connections):
-        task.cancel()
-    if connections:
-        await asyncio.gather(*connections, return_exceptions=True)
+        server.close()  # no new connection while these end
+        # Every transport must close before the loop does, and no handler
+        # may be cancelled: the stream callback of Python 3.10 and 3.11
+        # logs a cancelled handler as an error.  So an idle connection is
+        # closed here, which its handler reads as end of file, and a busy
+        # one ends after its answer.
+        for writer in list(idle):
+            writer.close()
+        if connections:
+            await asyncio.gather(*connections, return_exceptions=True)
 
 
 def serve(host: str = "127.0.0.1", port: int = 8157, **config) -> None:

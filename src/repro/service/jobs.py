@@ -11,21 +11,51 @@ request arriving past that bound is rejected immediately with a 503
 degradation a saturated service owes its callers: a fast "try again"
 instead of an unbounded queue that converts overload into timeouts.
 
+The pool runs one job at a time by default (:data:`DEFAULT_WORKERS`).  Its
+threads share the server's interpreter lock, so two jobs running at once
+take turns on one core: each waits up to the interpreter's switch interval
+whenever the other releases the lock in a NumPy call, and both finish
+later than they would one after the other.  More workers pay only where
+jobs wait with the lock released (``options.workers > 1`` fans a job out
+to child processes) or where a short job must not queue behind a long one.
+
 Per-request deadlines ride inside the job itself: ``options.deadline``
 makes :func:`repro.core.kway.partition` and the orderings degrade and
 return a best-effort result rather than overrun, so the queue never needs
-to kill a job to honour a deadline.
+to kill a job to honour a deadline.  The deadline clock starts with the
+job, not at admission: the queue wait comes on top, and :meth:`JobQueue.
+stats` reports it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 
 from repro.service.schema import ServiceRequestError
 
-__all__ = ["JobQueue"]
+__all__ = ["DEFAULT_WORKERS", "JobQueue", "last_job_times"]
+
+#: Jobs a queue runs at once unless told otherwise.
+DEFAULT_WORKERS = 1
+
+#: The times of the last job each asyncio task ran.  A task runs in its own
+#: copy of the context, so concurrent callers never read each other's.  The
+#: times travel here because :meth:`JobQueue.run` returns the job's result
+#: unchanged, to its callers and to code that wraps it.
+_LAST_JOB_TIMES: ContextVar[tuple[float, float]] = ContextVar(
+    "repro_service_last_job_times"
+)
+
+
+def last_job_times() -> tuple[float, float]:
+    """``(wait_s, run_s)`` of the last job the calling task ran through
+    :meth:`JobQueue.run`: its wait from admission until a thread started
+    it, then its run.  ``(0.0, 0.0)`` before the task has run one."""
+    return _LAST_JOB_TIMES.get((0.0, 0.0))
 
 
 class JobQueue:
@@ -40,7 +70,7 @@ class JobQueue:
         admission past ``workers + backlog`` raises a 503.
     """
 
-    def __init__(self, workers: int = 2, backlog: int = 16):
+    def __init__(self, workers: int = DEFAULT_WORKERS, backlog: int = 16):
         if workers < 1:
             raise ServiceRequestError(
                 f"job queue needs at least one worker, got {workers}"
@@ -58,9 +88,14 @@ class JobQueue:
         self.completed = 0
         self.failed = 0
         self.rejected = 0
+        self.wait_s = 0.0
+        self.run_s = 0.0
 
     async def run(self, fn, *args):
         """Run ``fn(*args)`` on the pool; await and return its result.
+
+        The job's wait and run times are added to :meth:`stats` and
+        readable by the caller through :func:`last_job_times`.
 
         Raises
         ------
@@ -78,21 +113,42 @@ class JobQueue:
                 )
             self._pending += 1
             self.submitted += 1
+        clock = [time.perf_counter()]  # admitted, then started and ended
+
+        def timed():
+            clock.append(time.perf_counter())
+            try:
+                return fn(*args)
+            finally:
+                clock.append(time.perf_counter())
+
         loop = asyncio.get_running_loop()
         try:
-            result = await loop.run_in_executor(self._pool, lambda: fn(*args))
+            result = await loop.run_in_executor(self._pool, timed)
         except Exception:
-            with self._lock:
-                self._pending -= 1
-                self.failed += 1
+            self._finish(clock, failed=True)
             raise
-        with self._lock:
-            self._pending -= 1
-            self.completed += 1
+        self._finish(clock, failed=False)
         return result
 
+    def _finish(self, clock: list[float], *, failed: bool) -> None:
+        wait_s = run_s = 0.0
+        if len(clock) == 3:  # a shut-down pool fails a job it never started
+            admitted, started, ended = clock
+            wait_s, run_s = started - admitted, ended - started
+        with self._lock:
+            self._pending -= 1
+            if failed:
+                self.failed += 1
+            else:
+                self.completed += 1
+            self.wait_s += wait_s
+            self.run_s += run_s
+        _LAST_JOB_TIMES.set((wait_s, run_s))
+
     def stats(self) -> dict:
-        """Occupancy and outcome counters, JSON-ready for ``/stats``."""
+        """Occupancy, outcome counters and the jobs' summed wait and run
+        seconds, JSON-ready for ``/stats``."""
         with self._lock:
             return {
                 "workers": self.workers,
@@ -102,6 +158,8 @@ class JobQueue:
                 "completed": self.completed,
                 "failed": self.failed,
                 "rejected": self.rejected,
+                "wait_s": self.wait_s,
+                "run_s": self.run_s,
             }
 
     def shutdown(self) -> None:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core import partition
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.graph import write_graph
 from repro.matrices import grid2d, load
+from repro.service import PartitionService
 
 
 @pytest.fixture
@@ -117,3 +118,28 @@ class TestInfo:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestServe:
+    """``repro serve`` takes its defaults from ``PartitionService``."""
+
+    def test_parser_defaults_follow_the_service_signature(self, monkeypatch):
+        init = PartitionService.__init__
+        shifted = {
+            name: value + 1 if isinstance(value, int) else value
+            for name, value in init.__kwdefaults__.items()
+        }
+        monkeypatch.setattr(init, "__kwdefaults__", shifted)
+        args = build_parser().parse_args(["serve"])
+        assert {name: getattr(args, name) for name in shifted} == shifted
+
+    def test_help_names_the_service_defaults(self, capsys):
+        defaults = PartitionService.__init__.__kwdefaults__
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"caching (default {defaults['cache_size']})" in text
+        assert f"running jobs (default {defaults['queue_workers']};" in text
+        assert f"answers 503 (default {defaults['backlog']})" in text
+        assert f"(default {defaults['max_body'] >> 20} MiB)" in text

@@ -1,11 +1,13 @@
 """Tests for the partitioning service (``repro.service``).
 
 Covers the content-addressed cache (keys, LRU, TTL — with a fake clock),
-the request/response schema, the bounded job queue, and the HTTP layer end
-to end over real sockets: cache-hit bit-identity against a fresh in-process
-run, single-flight coalescing under concurrent fan-in, deadline-exceeded
+the request/response schema, the bounded job queue (one job at a time by
+default, each job's wait and run times), and the HTTP layer end to end
+over real sockets: cache-hit bit-identity against a fresh in-process run,
+single-flight coalescing under concurrent fan-in, deadline-exceeded
 degradation (200 + resilience report, never a 500), ndjson progress
-streaming, and the ``service.*`` trace events/counters the app emits.
+streaming, shutdown with open connections, and the ``service.*`` trace
+events/counters the app emits.
 
 The HTTP tests run against a :class:`~repro.service.app.BackgroundServer`
 on an ephemeral port; they are written to pass unchanged under the chaos CI
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import inspect
 import json
+import logging
 import os
 import signal
 import socket
@@ -61,6 +65,7 @@ from repro.service import (
     request_key,
     where_digest,
 )
+from repro.service.jobs import last_job_times
 from repro.utils.errors import ConfigurationError
 from tests.conftest import dumbbell_graph, path_graph
 
@@ -603,6 +608,36 @@ class TestJobQueue:
 
         asyncio.run(main())
 
+    def test_totals_are_the_sum_of_each_jobs_times(self):
+        # More job threads than cores and a short switch interval: a lost
+        # update to the totals, or one task reading another's times,
+        # breaks the sums.
+        async def main():
+            queue = JobQueue(workers=4, backlog=64)
+
+            async def one():
+                await queue.run(sum, range(20_000))
+                return last_job_times()
+
+            try:
+                times = await asyncio.wait_for(
+                    asyncio.gather(*(one() for _ in range(64))), 60
+                )
+                return times, queue.stats()
+            finally:
+                queue.shutdown()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            times, stats = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(previous)
+        assert stats["completed"] == 64 and stats["pending"] == 0
+        assert stats["wait_s"] == pytest.approx(sum(w for w, _ in times))
+        assert stats["run_s"] == pytest.approx(sum(r for _, r in times))
+        assert all(w >= 0 and r > 0 for w, r in times)
+
     def test_bad_parameters(self):
         with pytest.raises(ServiceRequestError):
             JobQueue(workers=0)
@@ -620,7 +655,8 @@ class TestEndpoints:
         status, body = _request(server.address, "GET", "/stats")
         assert status == 200
         assert body["cache"]["maxsize"] == 128
-        assert body["queue"]["workers"] == 2
+        default = inspect.signature(PartitionService).parameters["queue_workers"]
+        assert body["queue"]["workers"] == default.default
         assert body["inflight"] == 0
 
     def test_partition_inline_graph(self, server):
@@ -1058,6 +1094,170 @@ def _handle(service, method, path, body=None):
         return status, payload, records
 
     return asyncio.run(run())
+
+
+def _handle_all(service, requests):
+    """``(method, path, body)`` requests through ``handle_request`` at
+    once, in one ``asyncio.gather``.  Returns their ``(status, payload)``."""
+
+    async def run():
+        replies = await asyncio.gather(*(
+            service.handle_request(method, path, json.dumps(body).encode())
+            for method, path, body in requests
+        ))
+        return [(status, payload) for status, payload, _ in replies]
+
+    return asyncio.run(run())
+
+
+@pytest.fixture()
+def running_jobs(monkeypatch):
+    """Counts the service's ``kway_partition`` calls running at once
+    (``now``) and the most ever at once (``peak``).  Each call sleeps 50 ms
+    before it partitions, so two jobs that can overlap do."""
+    import repro.service.app as app
+
+    lock = threading.Lock()
+    count = {"now": 0, "peak": 0}
+    original = app.kway_partition
+
+    def counted(*args, **kwargs):
+        with lock:
+            count["now"] += 1
+            count["peak"] = max(count["peak"], count["now"])
+        try:
+            time.sleep(0.05)
+            return original(*args, **kwargs)
+        finally:
+            with lock:
+                count["now"] -= 1
+
+    monkeypatch.setattr(app, "kway_partition", counted)
+    return count
+
+
+class TestJobConcurrency:
+    """The service runs one job at a time unless told otherwise, and
+    reports how long each job waited for its thread and then ran."""
+
+    GRAPH = grid2d(16, 16)
+    SEEDS = (1, 2)
+
+    def _misses(self):
+        return [
+            ("POST", "/partition", {
+                "graph": _inline(self.GRAPH), "nparts": 4,
+                "options": {"seed": seed},
+            })
+            for seed in self.SEEDS
+        ]
+
+    def _assert_correct(self, replies):
+        assert [status for status, _ in replies] == [200, 200]
+        for (_, payload), seed in zip(replies, self.SEEDS):
+            assert payload["cached"] is False
+            local = local_partition(
+                self.GRAPH, 4, DEFAULT_OPTIONS.with_(seed=seed)
+            )
+            assert payload["where"] == [int(p) for p in local.where]
+
+    def test_the_default_service_runs_one_job_at_a_time(self, running_jobs):
+        svc = PartitionService()
+        try:
+            replies = _handle_all(svc, self._misses())
+        finally:
+            svc.close()
+        self._assert_correct(replies)
+        assert running_jobs["peak"] == 1
+
+    def test_two_queue_workers_still_overlap_two_jobs(self, running_jobs):
+        svc = PartitionService(queue_workers=2)
+        try:
+            replies = _handle_all(svc, self._misses())
+        finally:
+            svc.close()
+        self._assert_correct(replies)
+        assert running_jobs["peak"] == 2
+
+    def test_stats_and_trace_split_each_job_into_wait_and_run(
+        self, tmp_path, running_jobs
+    ):
+        trace = tmp_path / "service.jsonl"
+        svc = PartitionService(trace=str(trace))
+        try:
+            replies = _handle_all(svc, self._misses())
+            _, stats, _ = _handle(svc, "GET", "/stats")
+        finally:
+            svc.close()
+        self._assert_correct(replies)
+        queue = stats["queue"]
+        assert queue["completed"] == 2
+        assert queue["wait_s"] > 0 and queue["run_s"] > 0
+        jobs = [
+            rec["fields"] for rec in read_trace(str(trace))
+            if rec.get("t") == "event" and rec["name"] == "service.job.run"
+        ]
+        assert len(jobs) == 2
+        assert all(job["wait_s"] >= 0 and job["run_s"] > 0 for job in jobs)
+        assert sum(job["wait_s"] for job in jobs) == pytest.approx(
+            queue["wait_s"]
+        )
+        assert sum(job["run_s"] for job in jobs) == pytest.approx(
+            queue["run_s"]
+        )
+        # One thread: the second job waited while the first ran.
+        assert max(job["wait_s"] for job in jobs) > 0.5 * min(
+            job["run_s"] for job in jobs
+        )
+
+    def test_a_cache_hit_never_enters_the_queue(self):
+        svc = PartitionService()
+        try:
+            body = self._misses()[0][2]
+            for _ in range(3):
+                status, _, _ = _handle(svc, "POST", "/partition", body)
+                assert status == 200
+            queue = svc.queue.stats()
+        finally:
+            svc.close()
+        assert queue["submitted"] == queue["completed"] == 1
+
+
+class TestShutdown:
+    """Stopping the server ends every connection without an error log:
+    idle keep-alive connections are closed, a request in progress is
+    answered first."""
+
+    def test_an_idle_keep_alive_connection_ends_without_a_log(self, caplog):
+        srv = BackgroundServer()
+        addr = srv.start()
+        with socket.create_connection(addr, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                srv.stop()
+            assert sock.recv(1) == b"", "the server closed the connection"
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_a_request_in_progress_is_answered(self, caplog, running_jobs):
+        srv = BackgroundServer()
+        addr = srv.start()
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(_request(
+            addr, "POST", "/partition",
+            {"graph": _inline(path_graph(8)), "nparts": 2},
+        )))
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            client.start()
+            deadline = time.monotonic() + 30.0
+            while running_jobs["peak"] == 0:
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.005)
+            srv.stop()
+            client.join(timeout=30)
+        assert not client.is_alive()
+        assert [status for status, _ in replies] == [200]
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestBodyMemo:
