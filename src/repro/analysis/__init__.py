@@ -9,13 +9,13 @@ suboptimal cut, not a crash.  This package is that tooling for
 
 * **Static lint** (:mod:`repro.analysis.engine`,
   :mod:`repro.analysis.rules`) — a whole-program rule engine: per-file
-  rules (``RP001`` … ``RP011``) over one shared AST traversal per module,
-  plus dataflow rules (``RP012`` … ``RP016``) over a project-wide symbol
+  rules (``RP001`` … ``RP009``) over one shared AST traversal per module,
+  plus dataflow rules (``RP012`` … ``RP018``) over a project-wide symbol
   table and call graph (:mod:`repro.analysis.project`,
   :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.dataflow`)
   covering exact int64 weight arithmetic, RNG-seed threading, and
   process-pool worker purity.  Findings carry call-path traces and render
-  as text, JSON, or SARIF 2.1.0 (:mod:`repro.analysis.report`).  Run it with
+  as text or JSON (:mod:`repro.analysis.report`).  Run it with
   ``python -m repro.analysis`` / ``repro lint``.
 * **Runtime sanitizer** (:mod:`repro.analysis.sanitize`) — O(n + m)
   invariant checkers hooked into every phase boundary of the multilevel
@@ -34,18 +34,14 @@ import importlib
 _EXPORTS = {
     "Finding": "engine",
     "lint_paths": "engine",
-    "lint_file": "engine",
     "format_findings": "engine",
     "RULES": "rules",
     "default_rules": "rules",
-    "rule_table": "rules",
     "ProjectModel": "project",
     "build_project": "project",
     "CallGraph": "callgraph",
     "build_call_graph": "callgraph",
     "findings_to_json": "report",
-    "findings_to_sarif": "report",
-    "validate_sarif": "report",
     "rules_markdown_table": "report",
     "Sanitizer": "sanitize",
     "NullSanitizer": "sanitize",

@@ -9,23 +9,18 @@ Invoked three ways, all equivalent:
 All three take the one flag set :func:`add_lint_arguments` declares.
 Exit status: 0 when clean, 1 when any
 finding was reported, 2 on usage errors.  Findings print one per line as
-``path:line:col: RPxxx message``, with ``--json`` / ``--sarif`` switching
-to the machine-readable formats of :mod:`repro.analysis.report`.
+``path:line:col: RPxxx message``, with ``--json`` switching to the
+machine-readable array of :mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.analysis.engine import format_findings, lint_paths
-from repro.analysis.report import (
-    findings_to_json,
-    findings_to_sarif,
-    rules_markdown_table,
-)
-from repro.analysis.rules import default_rules, rule_table
+from repro.analysis.report import findings_to_json, rules_markdown_table
+from repro.analysis.rules import default_rules
 
 __all__ = ["add_lint_arguments", "build_parser", "main", "run_lint"]
 
@@ -43,18 +38,8 @@ def add_lint_arguments(parser) -> None:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--paper",
-        help="explicit PAPER.md for the RP008 section index "
-        "(default: discovered upward from the first path)",
-    )
-    parser.add_argument(
         "--select",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
     )
     parser.add_argument(
         "--rules-md",
@@ -67,12 +52,6 @@ def add_lint_arguments(parser) -> None:
         dest="as_json",
         help="emit findings as a JSON array",
     )
-    parser.add_argument(
-        "--sarif",
-        action="store_true",
-        dest="as_sarif",
-        help="emit findings as a SARIF 2.1.0 log",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "whole-program lint pass enforcing the repro codebase idioms "
-            "(RP001-RP018; see docs/ANALYSIS.md)"
+            "(rule table: docs/ANALYSIS.md or --rules-md)"
         ),
     )
     add_lint_arguments(parser)
@@ -89,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_lint(args) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
-    if args.list_rules:
-        for rule_id, name, summary in rule_table():
-            print(f"{rule_id}  {name:18s} {summary}")
-        return 0
     if args.rules_md:
         print(rules_markdown_table())
         return 0
@@ -107,10 +82,8 @@ def run_lint(args) -> int:
             )
             return 2
         rules = [r for r in rules if r.id in wanted]
-    findings = lint_paths(args.paths, rules=rules, paper=args.paper)
-    if args.as_sarif:
-        print(json.dumps(findings_to_sarif(findings), indent=2))
-    elif args.as_json:
+    findings = lint_paths(args.paths, rules=rules)
+    if args.as_json:
         print(findings_to_json(findings))
     elif findings:
         print(format_findings(findings))

@@ -1,4 +1,4 @@
-"""Dataflow checkers over the project model: RP012 … RP018.
+"""Dataflow checkers over the project model: RP012 … RP016 and RP018.
 
 Four checker families, all built on the :mod:`~repro.analysis.project`
 symbol table and the :mod:`~repro.analysis.callgraph` call graph:
@@ -42,8 +42,8 @@ re-calls ``cls(*args)`` and the parent sees a broken pool instead of
 the library error.  RP018 flags both in worker-reachable code.
 
 Findings carry a **call-path trace** (``partition → _recurse →
-part_weights``) computed from the call graph, rendered by the reporting
-layer both in text and as SARIF ``relatedLocations``.
+part_weights``) computed from the call graph, rendered in the text and
+JSON reports.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "RngThreadRule",
     "WorkerPurityRule",
     "WorkerAmbientStateRule",
-    "KernelHygieneRule",
     "WorkerExceptionRule",
     "BUILTIN_EXCEPTIONS",
     "PROTOCOL_EXCEPTIONS",
@@ -520,7 +519,6 @@ class ExactAccumulationRule(ProjectRule):
 
     id = "RP012"
     name = "exact-accumulation"
-    summary = "float64 accumulation of int64 weight data"
     doc = (
         "In `core/`/`graph/`/`ordering/`/`parallel/`/`analysis/`, no "
         "`np.bincount(..., weights=<int weight data>)` outside an explicit "
@@ -603,7 +601,6 @@ class NarrowingCastRule(ProjectRule):
 
     id = "RP013"
     name = "no-narrowing"
-    summary = "narrowing/float cast or float allocation of weight data"
     doc = (
         "In the exact-arithmetic packages, weight/gain/cut data must stay "
         "int64: no `.astype()` / `np.asarray(dtype=)` to a narrower int or "
@@ -704,7 +701,6 @@ class RngThreadRule(ProjectRule):
 
     id = "RP014"
     name = "rng-thread"
-    summary = "seed thread severed at a call site / entropy in worker code"
     doc = (
         "Whole-program RNG determinism: calls may not omit the `rng` "
         "argument of a function whose body converts a missing `rng` into "
@@ -891,7 +887,6 @@ class WorkerPurityRule(ProjectRule):
 
     id = "RP015"
     name = "worker-pure"
-    summary = "module-level state mutated in worker-reachable code"
     doc = (
         "No function reachable from a `workers=N` pool entry point "
         "(`submit`/`partial` branch jobs) may mutate module-level state: "
@@ -988,7 +983,6 @@ class WorkerAmbientStateRule(ProjectRule):
 
     id = "RP016"
     name = "worker-ambient"
-    summary = "ambient process state mutated in worker-reachable code"
     doc = (
         "No function reachable from a pool entry point may mutate ambient "
         "process state: `os.environ` writes, `os.putenv`/`os.unsetenv`/"
@@ -1075,117 +1069,6 @@ class WorkerAmbientStateRule(ProjectRule):
                         )
 
 
-class KernelHygieneRule(ProjectRule):
-    """RP017 — kernel backends only via the registry; numba imports lazy.
-
-    The :mod:`repro.kernels` registry owns backend selection: capability
-    probing, the fallback chain and the selection metadata that surfaces
-    in traces and results.  Two import disciplines keep that true:
-
-    * **backend modules are registry-private** — a module of a ``kernels``
-      package (``repro.kernels.numba_backend``) may only be imported from
-      inside that package.  An outside import bypasses the probe/fallback
-      logic, so an optional dependency error surfaces as a crash instead
-      of a recorded fallback;
-    * **numba is imported lazily** — a module-level ``import numba``
-      anywhere makes the whole tree unimportable on machines without the
-      optional dependency.  Every numba import must sit inside a function
-      (the probe or a kernel loader).
-    """
-
-    id = "RP017"
-    name = "kernel-hygiene"
-    summary = "backend module imported outside the registry, or eager numba import"
-    doc = (
-        "Kernel backend modules (submodules of a `kernels` package) may "
-        "only be imported from inside that package — everything else goes "
-        "through the registry (`repro.kernels`), which owns capability "
-        "probing and the fallback chain. `numba` may never be imported at "
-        "module level: the optional dependency must be probed/loaded "
-        "inside a function so the tree imports cleanly without it."
-    )
-
-    def _resolve_from(self, module, node) -> str:
-        """Absolute dotted target of an ``ImportFrom`` (resolves relatives)."""
-        if node.level == 0:
-            return node.module or ""
-        parts = module.name.split(".")
-        if module.path.stem != "__init__":
-            parts = parts[:-1]
-        drop = node.level - 1
-        if drop:
-            parts = parts[:-drop] if drop < len(parts) else []
-        if node.module:
-            parts = parts + node.module.split(".")
-        return ".".join(parts)
-
-    @staticmethod
-    def _is_backend_module(target: str) -> bool:
-        """Whether ``target`` names a module *inside* a kernels package."""
-        parts = target.split(".")
-        return "kernels" in parts[:-1]
-
-    @staticmethod
-    def _is_numba(target: str) -> bool:
-        return target == "numba" or target.startswith("numba.")
-
-    def _is_lazy(self, module, node) -> bool:
-        """Whether the import sits inside a function (lazy by construction)."""
-        return any(
-            isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for anc in module.ancestors(node)
-        )
-
-    def check_project(self, ctx):
-        module_names = {m.name for m in ctx.project.modules.values()}
-        for module in ctx.project.modules.values():
-            inside_kernels = "kernels" in module.parts
-            for node in module.by_type(ast.Import):
-                for alias in node.names:
-                    yield from self._check_target(
-                        ctx, module, node, alias.name, inside_kernels
-                    )
-            for node in module.by_type(ast.ImportFrom):
-                base = self._resolve_from(module, node)
-                yield from self._check_target(
-                    ctx, module, node, base, inside_kernels
-                )
-                # ``from pkg.kernels import numba_backend`` imports the
-                # backend module itself under a from-import spelling.
-                for alias in node.names:
-                    dotted = f"{base}.{alias.name}" if base else alias.name
-                    if dotted in module_names:
-                        yield from self._check_target(
-                            ctx, module, node, dotted, inside_kernels
-                        )
-
-    def _check_target(self, ctx, module, node, target, inside_kernels):
-        if not target:
-            return
-        if self._is_numba(target) and not self._is_lazy(module, node):
-            yield ctx.finding(
-                module,
-                node,
-                self.id,
-                "module-level numba import: the optional dependency must "
-                "be imported lazily (inside the probe or a kernel loader) "
-                "so the tree imports cleanly without it",
-            )
-        if (
-            self._is_backend_module(target)
-            and not inside_kernels
-            and not self._is_numba(target)
-        ):
-            yield ctx.finding(
-                module,
-                node,
-                self.id,
-                f"backend module {target!r} imported outside its kernels "
-                "package; go through the registry package instead — it "
-                "owns the capability probe and the fallback chain",
-            )
-
-
 # --------------------------------------------------------------------------
 # RP018 — worker exception hygiene.
 
@@ -1217,7 +1100,6 @@ class WorkerExceptionRule(ProjectRule):
 
     id = "RP018"
     name = "worker-exception"
-    summary = "worker-raised exception cannot cross the pool result pipe"
     doc = (
         "Worker-reachable code must raise exceptions that survive the "
         "pool result pipe: `ReproError` subclasses (not builtins), and "
@@ -1373,6 +1255,5 @@ DATAFLOW_RULES = (
     RngThreadRule,
     WorkerPurityRule,
     WorkerAmbientStateRule,
-    KernelHygieneRule,
     WorkerExceptionRule,
 )

@@ -1,13 +1,13 @@
 """The whole-program project model: parse once, resolve names once.
 
-The per-file rules (``RP001`` … ``RP011``) only ever needed one module's
+The per-file rules (``RP001`` … ``RP009``) only ever needed one module's
 AST, so the original engine handed each rule a freshly parsed tree.  The
-whole-program rules (``RP012`` … ``RP016``) need to see *across* modules —
+whole-program rules (``RP012`` … ``RP018``) need to see *across* modules —
 "which functions can a pool worker reach?", "does every caller thread its
 ``rng``?" — so this module builds the shared substrate exactly once per
 lint invocation:
 
-* :class:`ModuleInfo` — one parsed module: source, AST, a single cached
+* :class:`ModuleInfo` — one parsed module: its AST, a single cached
   ``ast.walk`` node list (every rule filters this list instead of
   re-walking), a node→parent map, the suppression table, the import
   bindings and the module-level name set;
@@ -76,7 +76,6 @@ class ModuleInfo:
 
     name: str  #: dotted module name
     path: Path
-    source: str
     tree: ast.AST
     parts: tuple = ()  #: path components (location-based rule scoping)
     #: single cached traversal: ``list(ast.walk(tree))`` — rules filter
@@ -257,7 +256,6 @@ class ProjectModel:
         module = ModuleInfo(
             name=_module_name_for(path, root_hint),
             path=path,
-            source=source,
             tree=tree,
             parts=path.parts,
             nodes=list(ast.walk(tree)),

@@ -17,16 +17,9 @@ RP004     no ``==``/``!=`` on float literals or gain/cut values
 RP005     raised exceptions derive from ``ReproError`` (callers catch
           the library with one clause)
 RP006     no ``print()`` in library code (CLI and bench excepted)
-RP007     package ``__init__`` modules declare ``__all__``
-RP008     ``§N.M`` docstring citations must exist in ``PAPER.md``
 RP009     a ``ReproError`` fallback handler in ``core/``/``ordering/``
           must record the event to a ``ResilienceReport`` or re-raise
           (silent fallbacks make degraded results unauditable)
-RP010     tracer spans are entered with ``with`` (never called bare)
-          and ``core/`` emits events through an open span, not directly
-          on a tracer (keeps the trace a well-nested span tree)
-RP011     hot paths use the cached CSR expansions (``graph.degrees()``,
-          ``graph.edge_sources()``) instead of rebuilding them
 RP012     integer weight data is never accumulated in float64
           (``np.bincount(weights=...)`` rounds above 2**53)
 RP013     weight data stays int64 — no narrowing or float casts
@@ -35,20 +28,20 @@ RP014     the seed thread survives every call-graph path, and no
 RP015     worker-reachable code never mutates module-level state
 RP016     worker-reachable code never mutates ambient process state
           (``os.environ``, ``os.chdir``, global RNG seeds)
-RP017     kernel backend modules are reachable only through the
-          :mod:`repro.kernels` registry, and ``numba`` is never
-          imported at module level (optional-dependency hygiene)
 RP018     worker-reachable code raises only exceptions that survive
           the pool result pipe: ``ReproError`` subclasses, never a
           class that the default exception pickling cannot rebuild
 ========  ============================================================
 
-``RP001`` … ``RP011`` are per-file rules over one module's AST;
+``RP001`` … ``RP009`` are per-file rules over one module's AST;
 ``RP012`` … ``RP018`` are whole-program rules over the project model and
 call graph (:mod:`repro.analysis.project`, :mod:`repro.analysis.dataflow`).
 This table is rendered into ``docs/ANALYSIS.md`` by
 :func:`repro.analysis.report.rules_markdown_table` — regenerate with
 ``repro lint --rules-md`` instead of editing the doc by hand.
+
+Retired ids (RP007, RP008, RP010, RP011, RP017) are not reused: each
+guarded one invariant at one site and is now a tier-1 test of it.
 
 Suppress a deliberate exception with ``# repro: noqa[RPxxx]`` plus a
 justification comment (see :mod:`repro.analysis.suppress`).
@@ -67,7 +60,7 @@ from repro.analysis.dataflow import (
     is_np_random as _is_np_random,
 )
 
-__all__ = ["Rule", "default_rules", "RULES", "PER_FILE_RULES", "rule_table"]
+__all__ = ["Rule", "default_rules", "RULES", "PER_FILE_RULES"]
 
 #: The CSR array attribute names protected by RP002.
 CSR_ARRAYS = frozenset({"xadj", "adjncy", "adjwgt", "vwgt"})
@@ -100,7 +93,6 @@ class SeededRandomRule(Rule):
 
     id = "RP001"
     name = "seeded-random"
-    summary = "unseeded/hard-coded RNG outside utils/rng.py"
     doc = (
         "No unseeded `np.random.default_rng()`, no hard-coded seed "
         "severing the caller's seed thread, no legacy `np.random.<fn>` "
@@ -170,7 +162,6 @@ class CSRMutationRule(Rule):
 
     id = "RP002"
     name = "csr-immutable"
-    summary = "CSR array mutated outside graph/"
     doc = (
         "`CSRGraph` arrays (`xadj`/`adjncy`/`adjwgt`/`vwgt`) are shared "
         "views across hierarchy levels; only `graph/` (constructors and "
@@ -225,7 +216,6 @@ class ExceptionSwallowRule(Rule):
 
     id = "RP003"
     name = "no-swallow"
-    summary = "bare except / except Exception without re-raise"
     doc = (
         "No bare `except:` and no `except Exception` that fails to "
         "re-raise — the sanitizer and validators communicate through "
@@ -280,7 +270,6 @@ class FloatEqualityRule(Rule):
 
     id = "RP004"
     name = "exact-compare"
-    summary = "float == / equality on gain-cut values"
     doc = (
         "No `==`/`!=` against float literals, and no equality between "
         "gain/cut-named operands unless both are provably exact integers "
@@ -337,7 +326,6 @@ class ErrorHierarchyRule(Rule):
 
     id = "RP005"
     name = "error-hierarchy"
-    summary = "builtin exception raised instead of a ReproError"
     doc = (
         "Raised exceptions derive from `ReproError` (see "
         "`repro.utils.errors`) so callers can catch the library with one "
@@ -374,7 +362,6 @@ class NoPrintRule(Rule):
 
     id = "RP006"
     name = "no-print"
-    summary = "print() in library code"
     doc = (
         "No `print()` in library code — stray output corrupts the CLI's "
         "machine-readable output. The CLI front-ends and bench/reporting "
@@ -401,102 +388,6 @@ class NoPrintRule(Rule):
                     "print() in library code; return values or raise — "
                     "only cli/bench layers own stdout",
                 )
-
-
-class DunderAllRule(Rule):
-    """RP007 — package ``__init__`` modules must declare ``__all__``.
-
-    The ``__init__`` modules are the public API surface; an explicit
-    ``__all__`` keeps re-exports deliberate and lets the API doc stay in
-    sync.  Only ``__init__.py`` files with actual content (imports or
-    definitions) are required to declare one.
-    """
-
-    id = "RP007"
-    name = "declare-all"
-    summary = "public package __init__ without __all__"
-    doc = (
-        "Package `__init__` modules with content must declare `__all__` — "
-        "the export surface stays deliberate and the API doc stays in "
-        "sync."
-    )
-
-    def check(self, ctx):
-        if not ctx.parts or ctx.parts[-1] != "__init__.py":
-            return
-        has_content = False
-        for node in ctx.tree.body:
-            if isinstance(
-                node,
-                (
-                    ast.Import,
-                    ast.ImportFrom,
-                    ast.FunctionDef,
-                    ast.AsyncFunctionDef,
-                    ast.ClassDef,
-                ),
-            ):
-                has_content = True
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for t in targets:
-                    if isinstance(t, ast.Name) and t.id == "__all__":
-                        return
-                has_content = True
-        if has_content:
-            yield ctx.finding(
-                1,
-                self.id,
-                "public package __init__ defines names but no __all__; "
-                "declare the intended export surface",
-            )
-
-
-class PaperSectionRule(Rule):
-    """RP008 — ``§N.M`` docstring citations must exist in PAPER.md.
-
-    Docstrings ground every algorithm in the paper ("the coarsening phase
-    (§3.1)"); a citation to a non-existent section means the docstring and
-    the paper drifted apart.  Skipped when no ``PAPER.md`` is found.
-    """
-
-    id = "RP008"
-    name = "paper-section"
-    summary = "docstring cites a paper section missing from PAPER.md"
-    doc = (
-        "Every `§N.M` docstring citation must exist in `PAPER.md`'s "
-        "section outline; a dangling citation means docstring and paper "
-        "drifted apart. Skipped when no `PAPER.md` is found."
-    )
-
-    def check(self, ctx):
-        from repro.analysis.sections import section_tokens
-
-        if ctx.sections is None:
-            return
-        for node in ctx.walk():
-            if not isinstance(
-                node,
-                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-            ):
-                continue
-            doc = ast.get_docstring(node, clean=False)
-            if not doc:
-                continue
-            doc_node = node.body[0].value
-            for offset, text in enumerate(doc.splitlines()):
-                for token in sorted(section_tokens(text)):
-                    if token not in ctx.sections:
-                        line = getattr(doc_node, "lineno", 1) + offset
-                        yield ctx.finding(
-                            line,
-                            self.id,
-                            f"docstring cites §{token}, which PAPER.md does "
-                            "not declare; fix the citation or update the "
-                            "section outline",
-                        )
 
 
 #: ``ReproError`` and its subclasses — the names RP009 treats as library
@@ -532,7 +423,6 @@ class FallbackRecordRule(Rule):
 
     id = "RP009"
     name = "record-fallback"
-    summary = "ReproError fallback without a ResilienceReport record"
     doc = (
         "An `except ReproError`-family handler in `core/`/`ordering/` "
         "must re-raise or call `report.record(...)` — every degraded "
@@ -570,182 +460,6 @@ class FallbackRecordRule(Rule):
                 )
 
 
-class ObsHygieneRule(Rule):
-    """RP010 — tracing hygiene: spans are ``with``-entered, events nested.
-
-    The trace schema (docs/OBSERVABILITY.md) is a *well-nested span tree*:
-    ``Tracer.span`` is a context manager whose exit writes the span record,
-    so calling it without entering it silently drops the span (and its
-    duration) from the trace.  Similarly, pipeline code in ``core/`` emits
-    per-level/per-pass events through the *span* handed down by the driver
-    — an event fired directly on a tracer there floats outside every phase
-    span and breaks the per-phase reconciliation ``repro trace`` performs.
-    Two checks:
-
-    * anywhere: ``<tracer>.span(...)`` must appear as a ``with`` item;
-    * in ``core/``: ``<tracer>.event(...)`` must sit lexically inside a
-      ``with <tracer>.span(...)`` block.
-
-    Receivers named ``sp``/``span`` are span objects, not tracers, and are
-    exempt — ``if span: span.event(...)`` is the blessed call-site idiom.
-    """
-
-    id = "RP010"
-    name = "obs-hygiene"
-    summary = "bare Tracer.span() call or un-nested tracer event in core/"
-    doc = (
-        "`Tracer.span(...)` must be entered with `with` (the record is "
-        "written on exit), and `core/` emits events through the span "
-        "handed down by the driver so the trace stays a well-nested span "
-        "tree (docs/OBSERVABILITY.md)."
-    )
-
-    _TRACER_NAMES = frozenset({"trc", "tracer"})
-
-    def _tracerish(self, node) -> bool:
-        """Whether ``node`` reads like a tracer receiver (not a span)."""
-        if isinstance(node, ast.Name):
-            return node.id in self._TRACER_NAMES
-        return isinstance(node, ast.Attribute) and node.attr == "tracer"
-
-    def check(self, ctx):
-        entered = set()   # span-call nodes used as with-items
-        spanning = []     # (lineno, end_lineno) of with-blocks opening a span
-        for node in ctx.walk():
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            for item in node.items:
-                call = item.context_expr
-                if (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "span"
-                    and self._tracerish(call.func.value)
-                ):
-                    entered.add(id(call))
-                    spanning.append((node.lineno, node.end_lineno))
-        in_core = "core" in ctx.parts
-        for node in ctx.walk():
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and self._tracerish(node.func.value)
-            ):
-                continue
-            if node.func.attr == "span" and id(node) not in entered:
-                yield ctx.finding(
-                    node,
-                    self.id,
-                    "Tracer.span(...) called outside a 'with' statement; "
-                    "the span record is only written when the context "
-                    "manager exits",
-                )
-            elif node.func.attr == "event" and in_core:
-                inside = any(
-                    lo <= node.lineno <= hi for lo, hi in spanning
-                )
-                if not inside:
-                    yield ctx.finding(
-                        node,
-                        self.id,
-                        "tracer event emitted outside any span in core/; "
-                        "emit through the span passed down by the driver "
-                        "so the event nests under its phase",
-                    )
-
-
-class CachedExpansionRule(Rule):
-    """RP011 — hot paths must use the cached CSR expansion arrays.
-
-    :class:`~repro.graph.csr.CSRGraph` caches its per-vertex degree array
-    (``graph.degrees()``) and the edge-source expansion
-    (``graph.edge_sources()``), so rebuilding either one inline —
-    ``np.diff(xadj)`` or ``np.repeat(arange(n), degrees)`` — inside the
-    pipeline packages re-materialises an O(n)/O(m) array on every call of
-    a per-level routine.  The caches removed that allocation churn
-    (docs/PERFORMANCE.md); this rule keeps it from creeping back.  Two
-    checks, in ``core/`` modules only:
-
-    * ``np.diff(...)`` over an ``xadj``-ish operand — use
-      ``graph.degrees()``;
-    * ``np.repeat(...)`` whose repeat-count operand is a degree array
-      (a ``degrees()``/``np.diff(xadj)`` call or a ``degree``-named
-      variable) — use ``graph.edge_sources()``.
-
-    Pre-construction code (``graph/validate.py`` runs before a CSRGraph
-    exists) and the operator packages, which hold their own caches, are
-    out of scope.
-    """
-
-    id = "RP011"
-    name = "cached-expansion"
-    summary = "np.diff(xadj)/np.repeat degree expansion rebuilt in core/"
-    doc = (
-        "Hot paths in `core/` must use the cached CSR expansions — "
-        "`graph.degrees()` instead of `np.diff(xadj)`, "
-        "`graph.edge_sources()` instead of a degree-array `np.repeat` — "
-        "so the per-call O(n)/O(m) rebuilds the caches removed do not "
-        "creep back (docs/PERFORMANCE.md)."
-    )
-
-    def _xadjish(self, node) -> bool:
-        """Whether ``node`` mentions an ``xadj`` array."""
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Name) and "xadj" in inner.id:
-                return True
-            if isinstance(inner, ast.Attribute) and "xadj" in inner.attr:
-                return True
-        return False
-
-    def _degreeish(self, node) -> bool:
-        """Whether ``node`` reads like a per-vertex degree array."""
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Name) and "degree" in inner.id.lower():
-                return True
-            if isinstance(inner, ast.Attribute) and "degree" in inner.attr.lower():
-                return True
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr == "diff"
-                and inner.args
-                and self._xadjish(inner.args[0])
-            ):
-                return True
-        return False
-
-    def check(self, ctx):
-        if "core" not in ctx.parts:
-            return
-        for node in ctx.walk():
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            if (
-                node.func.attr == "diff"
-                and node.args
-                and self._xadjish(node.args[0])
-            ):
-                yield ctx.finding(
-                    node,
-                    self.id,
-                    "np.diff over xadj rebuilds the degree array; use the "
-                    "cached graph.degrees() instead",
-                )
-            elif node.func.attr == "repeat":
-                operands = list(node.args) + [kw.value for kw in node.keywords]
-                if any(self._degreeish(arg) for arg in operands[1:]):
-                    yield ctx.finding(
-                        node,
-                        self.id,
-                        "np.repeat over a degree array rebuilds the edge-"
-                        "source expansion; use the cached "
-                        "graph.edge_sources() instead",
-                    )
-
-
 #: The per-file rules (one module's AST at a time), in id order.
 PER_FILE_RULES = (
     SeededRandomRule,
@@ -754,11 +468,7 @@ PER_FILE_RULES = (
     FloatEqualityRule,
     ErrorHierarchyRule,
     NoPrintRule,
-    DunderAllRule,
-    PaperSectionRule,
     FallbackRecordRule,
-    ObsHygieneRule,
-    CachedExpansionRule,
 )
 
 #: The full rule set — per-file rules plus the whole-program dataflow
@@ -770,7 +480,3 @@ def default_rules():
     """Fresh instances of every registered rule, in id order."""
     return [cls() for cls in RULES]
 
-
-def rule_table():
-    """``(id, name, summary)`` rows for docs and ``--list-rules``."""
-    return [(cls.id, cls.name, cls.summary) for cls in RULES]

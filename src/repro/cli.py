@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the whole-program lint pass (RP001-RP018, docs/ANALYSIS.md)",
+        help="run the whole-program lint pass (docs/ANALYSIS.md)",
     )
     add_lint_arguments(p)
 

@@ -64,6 +64,8 @@ def contract(graph, cmap, ncoarse) -> CSRGraph:
     ``cmap`` may merge any groups of vertices (not just pairs), so the same
     kernel also serves cluster-based coarsening extensions.  Groups must be
     connected or at least disjoint; dense ids ``0..ncoarse-1`` are required.
+    The coarse graph carries no coordinates: nothing reads them, and the
+    geometric baseline bisects the original graph.
     """
     cmap = np.asarray(cmap, dtype=np.int64)
     cu = cmap[graph.edge_sources()]
@@ -103,26 +105,7 @@ def contract(graph, cmap, ncoarse) -> CSRGraph:
     cvwgt = exact_weight_bincount(
         cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
     )
-    coarse = CSRGraph(xadj, mv, merged, cvwgt, validate=False)
-    propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-    return coarse
-
-
-def propagate_coords(graph, coarse, cmap, ncoarse, cvwgt) -> None:
-    """Carry coordinates to the coarse graph as weighted centroids.
-
-    Keeps geometric methods usable on coarse graphs (used by the geometric
-    baseline only).
-    """
-    if graph.coords is None:
-        return
-    d = graph.coords.shape[1]
-    sums = np.zeros((ncoarse, d))
-    for j in range(d):
-        sums[:, j] = np.bincount(
-            cmap, weights=graph.coords[:, j] * graph.vwgt, minlength=ncoarse
-        )
-    coarse.coords = sums / cvwgt[:, None]
+    return CSRGraph(xadj, mv, merged, cvwgt, validate=False)
 
 
 def collapsed_edge_weight(graph, cmap, ncoarse, cewgt=None) -> np.ndarray:

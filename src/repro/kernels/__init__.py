@@ -17,7 +17,9 @@ of named **backends**, each providing some subset of the phase kernels:
     Optional ``@njit`` kernels for the FM inner loop (bucket gain
     arrays), matching, contraction and the k-way boundary sweep.
     Requires the ``numba`` package; detected by an import probe and
-    never imported at module top level (lint rule RP017).
+    never imported at module top level, so every ``repro`` module imports
+    without it (``tests/test_kernels.py`` imports them all with numba
+    blocked).
 
 Selection is resolved **once per driver entry** by
 :func:`resolve_kernels`, with precedence ``options.kernels`` >
@@ -31,7 +33,8 @@ its bits.  Every fallback decision is recorded on the returned
 
 The backend module itself (``repro.kernels.numba_backend``) is
 implementation detail: the rest of ``src/repro`` must reach it through
-this registry (enforced by RP017).
+this registry (a test in ``tests/test_kernels.py`` finds no other
+importer).
 """
 
 from __future__ import annotations
@@ -260,7 +263,7 @@ def kway_kernel(selection: KernelSelection):
 # --------------------------------------------------------------------------
 # Built-in backends.  Loaders import lazily: the reference modules are part
 # of the normal import graph anyway, but numba_backend must only be touched
-# once its probe has passed (RP017).
+# once its probe has passed.
 
 def _load_loop_matching():
     from repro.core.matching import compute_matching

@@ -1,13 +1,13 @@
 """The optional ``numba`` kernel backend: ``@njit`` phase kernels.
 
-Reached only through the :mod:`repro.kernels` registry (lint rule RP017),
-and **never** imports numba at module top level: :func:`available` is the
-capability probe, and each kernel function is compiled on first use by
-:func:`_kernel`.  When numba is absent this module still imports cleanly —
-the registry falls back to ``loop`` and never loads the wrappers — and
-the undecorated kernel functions remain callable as plain Python, which
-is how the equivalence tests pin their semantics on machines without
-numba.
+Reached only through the :mod:`repro.kernels` registry, and **never**
+imports numba at module top level (``tests/test_kernels.py`` pins both):
+:func:`available` is the capability probe, and each kernel function is
+compiled on first use by :func:`_kernel`.  When numba is absent this
+module still imports cleanly — the registry falls back to ``loop`` and
+never loads the wrappers — and the undecorated kernel functions remain
+callable as plain Python, which is how the equivalence tests pin their
+semantics on machines without numba.
 
 Four kernels:
 
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.core.gains import external_internal_degrees
 from repro.core.options import MatchingScheme
-from repro.graph.contract import propagate_coords
 from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
 from repro.graph.partition import exact_weight_bincount
 from repro.utils.rng import as_generator
@@ -63,7 +62,7 @@ def available() -> bool:
     global _NUMBA_OK
     if _NUMBA_OK is None:
         try:
-            import numba  # noqa: F401  (probe only; lazy by design, RP017)
+            import numba  # noqa: F401  (probe only; lazy by design)
 
             _NUMBA_OK = True
         except ImportError:
@@ -586,15 +585,13 @@ def contract_numba(graph, cmap, ncoarse) -> CSRGraph:
     cvwgt = exact_weight_bincount(
         cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
     )
-    coarse = CSRGraph(
+    return CSRGraph(
         cxadj,
         cadjncy.astype(INDEX_DTYPE),
         cadjwgt.astype(WEIGHT_DTYPE),
         cvwgt,
         validate=False,
     )
-    propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-    return coarse
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the whole-program dataflow checkers (RP012 … RP018).
+"""Tests for the whole-program dataflow checkers (RP012 … RP016, RP018).
 
 One positive (seeded synthetic violation) and one negative (blessed
 idiom) fixture per rule, plus the PR-4 regression demonstration: deleting
@@ -432,129 +432,6 @@ class TestRP016WorkerAmbientState:
         assert findings == []
 
 
-class TestRP017KernelHygiene:
-    def test_backend_import_outside_kernels_fires(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            {
-                "pkg/kernels/__init__.py": "__all__ = []\n",
-                "pkg/kernels/vec_backend.py": "def kernel():\n    return 0\n",
-                "pkg/core/coarsen.py": (
-                    "from pkg.kernels.vec_backend import kernel\n"
-                    "\n"
-                    "\n"
-                    "def coarsen(graph):\n"
-                    "    return kernel()\n"
-                ),
-            },
-            select="RP017",
-        )
-        assert len(findings) == 1
-        assert "vec_backend" in findings[0].message
-        assert findings[0].path.endswith("coarsen.py")
-
-    def test_backend_submodule_from_import_fires(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            {
-                "pkg/kernels/__init__.py": "__all__ = []\n",
-                "pkg/kernels/vec_backend.py": "def kernel():\n    return 0\n",
-                "pkg/core/coarsen.py": (
-                    "from pkg.kernels import vec_backend\n"
-                    "\n"
-                    "\n"
-                    "def coarsen(graph):\n"
-                    "    return vec_backend.kernel()\n"
-                ),
-            },
-            select="RP017",
-        )
-        assert len(findings) == 1
-        assert "vec_backend" in findings[0].message
-
-    def test_registry_import_is_clean(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            {
-                "pkg/kernels/__init__.py": (
-                    "__all__ = ['resolve']\n"
-                    "\n"
-                    "\n"
-                    "def resolve():\n"
-                    "    from pkg.kernels import vec_backend\n"
-                    "\n"
-                    "    return vec_backend.kernel\n"
-                ),
-                "pkg/kernels/vec_backend.py": "def kernel():\n    return 0\n",
-                "pkg/core/coarsen.py": (
-                    "from pkg.kernels import resolve\n"
-                    "\n"
-                    "\n"
-                    "def coarsen(graph):\n"
-                    "    return resolve()(graph)\n"
-                ),
-            },
-            select="RP017",
-        )
-        assert findings == []
-
-    def test_top_level_numba_import_fires(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            {
-                "pkg/kernels/__init__.py": "__all__ = []\n",
-                "pkg/kernels/numba_backend.py": (
-                    "from numba import njit\n"
-                    "\n"
-                    "\n"
-                    "@njit\n"
-                    "def kernel():\n"
-                    "    return 0\n"
-                ),
-            },
-            select="RP017",
-        )
-        assert len(findings) == 1
-        assert "numba" in findings[0].message
-        assert "lazily" in findings[0].message
-
-    def test_lazy_numba_import_is_clean(self, tmp_path):
-        findings = _lint(
-            tmp_path,
-            {
-                "pkg/kernels/__init__.py": "__all__ = []\n",
-                "pkg/kernels/numba_backend.py": (
-                    "def compile_kernel(fn):\n"
-                    "    from numba import njit\n"
-                    "\n"
-                    "    return njit(fn)\n"
-                    "\n"
-                    "\n"
-                    "def available():\n"
-                    "    try:\n"
-                    "        import numba  # noqa: F401\n"
-                    "    except ImportError:\n"
-                    "        return False\n"
-                    "    return True\n"
-                ),
-            },
-            select="RP017",
-        )
-        assert findings == []
-
-    def test_shipped_tree_has_no_top_level_numba_import(self):
-        """No module under src/repro may import numba eagerly — the suite
-        must run (with transparent fallback) on machines without it."""
-        findings = [
-            f
-            for f in lint_paths(
-                [REPO_ROOT / "src" / "repro"], paper=REPO_ROOT / "PAPER.md"
-            )
-            if f.rule_id == "RP017"
-        ]
-        assert findings == [], format_findings(findings)
-
-
 class TestRP018WorkerException:
     _DRIVER = (
         "def drive(par, graph):\n"
@@ -686,9 +563,7 @@ class TestRP018WorkerException:
     def test_shipped_worker_set_is_exception_clean(self):
         findings = [
             f
-            for f in lint_paths(
-                [REPO_ROOT / "src" / "repro"], paper=REPO_ROOT / "PAPER.md"
-            )
+            for f in lint_paths([REPO_ROOT / "src" / "repro"])
             if f.rule_id == "RP018"
         ]
         assert findings == [], format_findings(findings)
@@ -746,7 +621,7 @@ class TestPartWeightsRevertRegression:
     def test_shipped_guarded_partition_is_clean(self):
         findings = [
             f
-            for f in lint_paths([self.REAL], paper=REPO_ROOT / "PAPER.md")
+            for f in lint_paths([self.REAL])
             if f.rule_id == "RP012"
         ]
         assert findings == [], format_findings(findings)
@@ -754,15 +629,10 @@ class TestPartWeightsRevertRegression:
 
 class TestShippedTreeWholeProgram:
     def test_src_repro_clean(self):
-        findings = lint_paths(
-            [REPO_ROOT / "src" / "repro"], paper=REPO_ROOT / "PAPER.md"
-        )
+        findings = lint_paths([REPO_ROOT / "src" / "repro"])
         assert findings == [], format_findings(findings)
 
     def test_tests_and_benchmarks_clean_for_determinism_rules(self):
-        findings = lint_paths(
-            [REPO_ROOT / "benchmarks", REPO_ROOT / "tests"],
-            paper=REPO_ROOT / "PAPER.md",
-        )
+        findings = lint_paths([REPO_ROOT / "benchmarks", REPO_ROOT / "tests"])
         findings = [f for f in findings if f.rule_id in ("RP001", "RP014")]
         assert findings == [], format_findings(findings)

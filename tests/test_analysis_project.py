@@ -205,6 +205,6 @@ class TestParseOnce:
 
     def test_full_tree_lint_under_three_seconds(self):
         t0 = time.perf_counter()
-        lint_paths([REPO_ROOT / "src" / "repro"], paper=REPO_ROOT / "PAPER.md")
+        lint_paths([REPO_ROOT / "src" / "repro"])
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"full-tree lint took {elapsed:.2f}s"

@@ -18,7 +18,7 @@ from repro.graph import (
     matching_weight,
     validate_graph,
 )
-from repro.graph.contract import collapsed_edge_weight, propagate_coords
+from repro.graph.contract import collapsed_edge_weight
 from repro.graph.partition import exact_weight_bincount
 from repro.matrices import load
 from tests.conftest import (
@@ -61,11 +61,9 @@ def _reference_contract(graph, cmap, ncoarse):
     cvwgt = exact_weight_bincount(
         cmap, graph.vwgt, minlength=ncoarse, total=graph.total_vwgt()
     )
-    coarse = CSRGraph(
+    return CSRGraph(
         xadj, mv, np.add.reduceat(w, starts), cvwgt, validate=False
     )
-    propagate_coords(graph, coarse, cmap, ncoarse, cvwgt)
-    return coarse
 
 
 def _packs_contract_key(graph, ncoarse) -> bool:
@@ -186,11 +184,13 @@ class TestContract:
         coarse = contract(g, np.array([0, 0]), 1)
         assert coarse.nedges == 0
 
-    def test_coords_become_weighted_centroids(self):
-        g = path_graph(2)
-        g.coords = np.array([[0.0, 0.0], [2.0, 0.0]])
-        coarse = contract(g, np.array([0, 0]), 1)
-        assert np.allclose(coarse.coords, [[1.0, 0.0]])
+    def test_contracted_mesh_has_no_coords(self):
+        g = load("4ELT", scale=0.05, seed=0)
+        assert g.coords is not None
+        cmap, ncoarse = coarse_map_from_matching(
+            hem_matching(g, np.random.default_rng(0))
+        )
+        assert contract(g, cmap, ncoarse).coords is None
 
     def test_partition_cut_preserved_by_projection(self):
         """§3.1: a coarse partition's cut equals the projected fine cut."""

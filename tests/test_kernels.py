@@ -22,7 +22,10 @@ numba, ``kernels="numba"`` is ``loop`` bit for bit.
 
 import hashlib
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,9 @@ from repro.obs import read_trace
 from repro.ordering import mlnd_ordering
 from repro.utils.errors import ConfigurationError
 from tests.test_properties import graphs
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _where_hash(where):
@@ -629,6 +635,51 @@ class TestResultMetadata:
             assert "fm" in s["fields"]["kernel_fallbacks"]
         for s in refine_spans:
             assert s["fields"]["kernel"] == "loop"
+
+
+#: Imports every ``repro`` module with numba blocked, the backend last,
+#: and prints the module count and whether the others loaded the backend.
+IMPORT_ALL_WITHOUT_NUMBA = """
+import importlib, pkgutil, sys
+sys.modules["numba"] = None  # every ``import numba`` now raises ImportError
+import repro
+backend = "repro.kernels.numba_backend"
+names = ["repro"] + [
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")
+]
+for name in names:
+    if name != backend:
+        importlib.import_module(name)
+loaded = backend in sys.modules
+importlib.import_module(backend)
+print(len(names), loaded)
+"""
+
+
+class TestOptionalNumba:
+    """numba stays optional: the tree imports without it, and only the
+    registry reaches the backend module (so a missing numba is a recorded
+    fallback, never a crash)."""
+
+    @pytest.fixture(scope="class")
+    def import_all(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-c", IMPORT_ALL_WITHOUT_NUMBA], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_every_module_imports_without_numba(self, import_all):
+        assert import_all.returncode == 0, import_all.stderr
+        count = int(import_all.stdout.split()[0])
+        assert count == len(list(SRC.joinpath("repro").rglob("*.py")))
+
+    def test_nothing_outside_the_registry_imports_the_backend(self, import_all):
+        assert import_all.returncode == 0, import_all.stderr
+        assert import_all.stdout.split()[1] == "False"
 
 
 @pytest.mark.perf

@@ -76,6 +76,10 @@ class TestBisectTrace:
         )
         records = read_trace(trace_path)
         events = [r for r in records if r["t"] == "event"]
+        # Every core/ event is emitted through the span of its phase, so
+        # it hangs under a recorded span (a plain bisect has no root span).
+        spans = {r["id"] for r in records if r["t"] == "span"}
+        assert [e["name"] for e in events if e["span"] not in spans] == []
         by_name = {}
         for e in events:
             by_name.setdefault(e["name"], []).append(e)
@@ -123,6 +127,8 @@ class TestDriverTraces:
         ]
         assert [r["name"] for r in roots] == ["partition"]
         assert roots[0]["fields"]["cut"] == result.cut
+        names = {r["name"] for r in records if r["t"] == "span"}
+        assert {"kway.branch", "coarsen", "refine"} <= names
         (counters,) = [r for r in records if r["t"] == "counters"]
         assert counters["values"]["bisect.calls"] == 3  # 4 parts → 3 bisects
 

@@ -5,16 +5,29 @@
 boundary extraction, metrics, GGGP) stop re-materialising
 ``np.diff(xadj)`` / ``np.repeat(arange, degrees)`` / the per-vertex edge
 weight sums on every call.  These tests pin the contract: one build per
-graph, ever — the lint rule RP011 keeps new inline rebuilds out of
-``core/``, this keeps the cache itself honest.
+graph, ever — and :class:`TestCoreUsesTheCaches` keeps inline rebuilds
+out of ``core/``.
 """
+
+import os
+import sys
 
 import numpy as np
 
+import repro.core
 from repro.core.gains import external_internal_degrees
 from repro.core.initial import gggp_bisection
+from repro.core.kway_refine import partition_refined
+from repro.core.multilevel import bisect
+from repro.core.options import (
+    DEFAULT_OPTIONS,
+    InitialScheme,
+    MatchingScheme,
+    RefinePolicy,
+)
 from repro.graph import CSRGraph, from_edge_list
-from repro.matrices import grid2d
+from repro.matrices import grid2d, suite
+from repro.ordering import mlnd_ordering
 from tests.conftest import random_graph
 
 
@@ -100,3 +113,45 @@ class TestCachedArrays:
             int_ = int(wgts[where[nbrs] == where[v]].sum())
             assert ed[v] == ext
             assert idg[v] == int_
+
+
+class TestCoreUsesTheCaches:
+    """``core/`` rebuilds no degree array (``np.diff`` of CSR offsets) and
+    no edge-source array (``np.repeat`` by per-vertex counts) inline: every
+    driver reads the graph's cached expansions instead."""
+
+    def test_no_inline_expansion_in_core(self, monkeypatch):
+        core = os.path.dirname(repro.core.__file__)
+        real_diff, real_repeat = np.diff, np.repeat
+        rebuilt = []
+
+        def note_if_core(what):
+            frame = sys._getframe(2)
+            if os.path.dirname(frame.f_code.co_filename) == core:
+                rebuilt.append(f"{what} at {frame.f_code.co_filename}:"
+                               f"{frame.f_lineno}")
+
+        def diff(a, *args, **kwargs):
+            a_ = np.asarray(a)
+            if (a_.ndim == 1 and a_.dtype.kind in "iu" and a_.size
+                    and a_[0] == 0 and (real_diff(a_) >= 0).all()):
+                note_if_core("np.diff of CSR offsets")
+            return real_diff(a, *args, **kwargs)
+
+        def repeat(a, repeats, *args, **kwargs):
+            if np.ndim(repeats) == 1:
+                note_if_core("np.repeat by per-vertex counts")
+            return real_repeat(a, repeats, *args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", diff)
+        monkeypatch.setattr(np, "repeat", repeat)
+        mesh = suite.load("4ELT", scale=0.1, seed=0)
+        for scheme in MatchingScheme:
+            bisect(mesh, DEFAULT_OPTIONS.with_(matching=scheme), 0)
+        for policy in RefinePolicy:
+            bisect(mesh, DEFAULT_OPTIONS.with_(refinement=policy), 0)
+        for initial in InitialScheme:
+            bisect(mesh, DEFAULT_OPTIONS.with_(initial=initial), 0)
+        partition_refined(mesh, 4, DEFAULT_OPTIONS, 0)
+        mlnd_ordering(grid2d(12, 12), DEFAULT_OPTIONS, 0)
+        assert rebuilt == []
