@@ -8,7 +8,8 @@ Invoked three ways, all equivalent:
 
 All three take the one flag set :func:`add_lint_arguments` declares.
 Exit status: 0 when clean, 1 when any
-finding was reported, 2 on usage errors.  Findings print one per line as
+finding was reported, 2 on usage errors (an unknown rule id, or a path
+that does not exist).  Findings print one per line as
 ``path:line:col: RPxxx message``, with ``--json`` switching to the
 machine-readable array of :mod:`repro.analysis.report`.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.analysis.engine import format_findings, lint_paths
 from repro.analysis.report import findings_to_json, rules_markdown_table
@@ -82,6 +84,11 @@ def run_lint(args) -> int:
             )
             return 2
         rules = [r for r in rules if r.id in wanted]
+    missing = [path for path in args.paths if not Path(path).exists()]
+    for path in missing:
+        print(f"error: no such file or directory: {path}", file=sys.stderr)
+    if missing:
+        return 2
     findings = lint_paths(args.paths, rules=rules)
     if args.as_json:
         print(findings_to_json(findings))

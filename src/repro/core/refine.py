@@ -13,14 +13,18 @@ that the paper's implementation uses ("similar to that described in [6]"):
    improve on the best state seen (``x = 50`` in the paper) and undo the
    trailing non-improving moves.
 
-Moved-vertex bookkeeping keeps the external/internal degree arrays exact
-during the pass, so the running cut is ``cut −= gain`` per move and never
-needs recomputation; the pass returns the improvement it achieved.
+Moved-vertex bookkeeping keeps one external-degree array ``ed`` exact
+during the pass (the internal degree is the weighted degree minus it), so
+the running cut is ``cut −= gain`` per move and never needs recomputation;
+the pass returns the improvement it achieved.
 
-The move loop walks the moved vertex's adjacency as Python scalars over
-memoryviews: a NumPy call per move costs more than the few neighbours it
-touches.  Each neighbour's gain-table push follows its own degree update,
-in adjacency order, exactly as in the per-move NumPy formulation that
+:func:`fm_pass` is one move loop.  It owns the default lazy gain heap
+(two ``heapq`` lists and a stamp dict, validated in place at the top)
+and drives the bucket table's object, and it walks the moved vertex's
+adjacency as Python scalars over memoryviews: a NumPy call per move costs
+more than the few neighbours it touches.  Each neighbour's gain-table push
+follows its own degree update, in adjacency order, exactly as in the
+per-move NumPy formulation over two gain-table objects that
 ``tests/test_refine.py`` keeps as the bit-identity reference.
 
 The five policies stack passes differently:
@@ -44,13 +48,15 @@ METIS does, and it only ever enlarges the candidate set the paper used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
-from repro.core.gains import external_internal_degrees, make_gain_tables
+from repro.core.gains import BucketGainTable, external_degrees
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
 from repro.core.run import Run
 from repro.graph.partition import Bisection, weight_cap
+from repro.utils.errors import ConfigurationError
 
 
 @dataclass
@@ -80,18 +86,6 @@ class PassStats:
     improvement: int = 0
 
 
-def _balance_key(pwgts, maxpwgt, cut):
-    """Rank partition states: balanced-with-small-cut first.
-
-    Lexicographic key ``(overweight, cut)`` where ``overweight`` is the
-    total weight above the per-part caps (0 for a balanced state).  Using
-    total overweight lets refinement *repair* an unbalanced projected
-    partition before optimising the cut.
-    """
-    over = max(0, int(pwgts[0]) - maxpwgt[0]) + max(0, int(pwgts[1]) - maxpwgt[1])
-    return (over, cut)
-
-
 def fm_pass(
     graph,
     where,
@@ -102,7 +96,6 @@ def fm_pass(
     boundary_only,
     early_exit,
     ed=None,
-    id_=None,
     stats=None,
     eager=False,
     gain_table="heap",
@@ -123,11 +116,14 @@ def fm_pass(
     early_exit:
         The paper's ``x``: stop after this many consecutive non-improving
         moves.
-    ed, id_:
-        Optional external/internal degree arrays of ``where`` (computed
-        when omitted).  The pass updates them in place as vertices move and
-        does not reverse them in the undo step, so on return they are stale
-        for the restored ``where``: pass fresh arrays to every pass.
+    ed:
+        Optional external-degree array of ``where`` (computed when
+        omitted).  The pass updates it in place as vertices move and does
+        not reverse it in the undo step, so on return it is stale for the
+        restored ``where``: pass a fresh array to every pass.  Internal
+        degrees are not stored: ``id = wdeg − ed`` with the graph's cached
+        :meth:`~repro.graph.csr.CSRGraph.weighted_degrees`, so a vertex's
+        gain is ``2·ed − wdeg``.
     san:
         Optional active :class:`repro.analysis.sanitize.Sanitizer`; when
         set, the incrementally-maintained degrees and running cut are
@@ -143,85 +139,141 @@ def fm_pass(
     Returns
     -------
     (new_cut, improvement):
-        ``improvement`` measures the lexicographic state key, reported as
-        the cut decrease plus any balance repair (> 0 means the pass helped).
+        ``improvement`` measures the lexicographic ``(overweight, cut)``
+        state key, reported as the cut decrease plus any balance repair
+        (> 0 means the pass helped).
     """
     n = graph.nvtxs
-    if ed is None or id_ is None:
-        ed, id_ = external_internal_degrees(graph, where)
-
-    tables = make_gain_tables(gain_table, graph, ed, id_)
-    if boundary_only:
-        seeds = np.flatnonzero(ed > 0)
-    else:
-        seeds = np.arange(n)
-    gains = ed - id_
+    if ed is None:
+        ed = external_degrees(graph, where)
+    wdeg = graph.weighted_degrees()
     where_arr = np.asarray(where)
-    for side in (0, 1):
-        mine = seeds[where_arr[seeds] == side]
-        tables[side].bulk_load(mine, gains[mine])
+    seeds = np.flatnonzero(ed > 0) if boundary_only else np.arange(n)
+    gains = 2 * ed[seeds] - wdeg[seeds]
+    on_side = [where_arr[seeds] == side for side in (0, 1)]
+
+    # The default lazy heap is owned here: per side a list of
+    # (−gain, counter, v) entries, plus one stamp dict (v → counter of its
+    # live entry) and one counter shared by both sides.  A vertex sits
+    # only in its own side's heap until it moves, and a moved vertex is
+    # locked, so the shared increasing counter keeps each heap's insertion
+    # order: ties go to the earlier push.  A locked vertex has no live
+    # entry (its own was popped when it was chosen, and nothing pushes a
+    # locked vertex), so the stamp alone tells a live entry.  The bucket
+    # table keeps its object.
+    heap = gain_table == "heap"
+    if heap:
+        queues = []
+        for mine in on_side:
+            queue = list(zip(
+                (-gains[mine]).tolist(),
+                np.flatnonzero(mine).tolist(),
+                seeds[mine].tolist(),
+            ))
+            heapify(queue)
+            queues.append(queue)
+        stamp = dict(zip(seeds.tolist(), range(len(seeds))))
+        counter = len(seeds)  # the next entry's counter
+    elif gain_table == "bucket":
+        # Any |gain| is bounded by the maximum weighted degree.
+        bound = int(wdeg.max(initial=0))
+        tables = (BucketGainTable(bound), BucketGainTable(bound))
+        for table, mine in zip(tables, on_side):
+            table.bulk_load(seeds[mine].tolist(), gains[mine].tolist())
+    else:
+        raise ConfigurationError(
+            f"unknown gain table kind {gain_table!r}; 'heap' or 'bucket'"
+        )
 
     # Scalar views for the move loop; they write through to the caller's
     # arrays.  Part weights are Python ints, copied back into ``pwgts``.
     xadj, adjncy = memoryview(graph.xadj), memoryview(graph.adjncy)
     adjwgt, vwgt = memoryview(graph.adjwgt), memoryview(graph.vwgt)
-    where_s, ed_s, id_s = memoryview(where_arr), memoryview(ed), memoryview(id_)
+    where_s, ed_s, wdeg_s = memoryview(where_arr), memoryview(ed), memoryview(wdeg)
     locked = bytearray(n)
     pw = [int(pwgts[0]), int(pwgts[1])]
+    caps = (int(maxpwgt[0]), int(maxpwgt[1]))
     moved: list[int] = []
+    # The state key (overweight, cut), ranked lexicographically: total
+    # weight above the caps first, so a pass can repair an unbalanced
+    # projected partition before it optimises the cut.
+    cut = int(cut)
+    over = max(0, pw[0] - caps[0]) + max(0, pw[1] - caps[1])
+    start_over, start_cut = best_over, best_cut = over, cut
     best_prefix = 0
-    start_key = best_key = key = _balance_key(pw, maxpwgt, cut)
     since_best = 0
     # Per-pass counters (folded into the cumulative ``stats`` at the end so
     # the traced event can report this pass alone, not the running totals).
     tried = 0
     rejected = 0
     boundary0 = int((ed > 0).sum()) if span else 0
-
-    def pop_valid(table):
-        """Best unlocked vertex of ``table`` with an up-to-date gain.
-
-        Gains in the tables are *lazy*: neighbour updates do not touch the
-        heap.  A popped entry whose stored gain is stale is re-pushed with
-        the current gain and the pop retried, so each move does O(deg)
-        scalar work plus the re-pushes of its stale pops.
-        """
-        while True:
-            item = table.pop_best()
-            if item is None:
-                return None
-            v, gain = item
-            if locked[v]:
-                continue
-            gain_now = ed_s[v] - id_s[v]
-            # Both sides are exact ints read from the int64 degree arrays.
-            if gain_now != gain:  # repro: noqa[RP004]
-                table.push(v, gain_now)
-                continue
-            return item
+    tops = [None, None]
 
     while since_best < early_exit:
-        c0 = pop_valid(tables[0])
-        c1 = pop_valid(tables[1])
-        if c0 is None and c1 is None:
-            break
+        # Each side's best unlocked vertex with an up-to-date gain.  Gains
+        # are lazy: a neighbour's degree update does not touch its entry,
+        # so a stale top is re-entered with its current gain and the search
+        # retried.  A heap top is validated in place (a refresh is one
+        # heapreplace under the next counter); the bucket table pops it.
+        for side in (0, 1):
+            if heap:
+                queue = queues[side]
+                while queue:
+                    top = queue[0]
+                    neg, c, v = top
+                    if stamp[v] != c:
+                        heappop(queue)  # superseded
+                        continue
+                    gain = 2 * ed_s[v] - wdeg_s[v]
+                    if gain + neg == 0:
+                        break
+                    stamp[v] = counter
+                    heapreplace(queue, (-gain, counter, v))
+                    counter += 1
+                else:
+                    top = None
+            else:
+                table = tables[side]
+                while (top := table.pop_best()) is not None:
+                    v, gain = top
+                    now = 2 * ed_s[v] - wdeg_s[v]
+                    if now == gain:
+                        top = (-gain, v)
+                        break
+                    table.push(v, now)
+            tops[side] = top
+
+        t0, t1 = tops
         # Prefer the higher gain; break ties toward the heavier side so the
         # pass drifts toward balance.
-        if c0 is None:
+        if t0 is None:
+            if t1 is None:
+                break
             side = 1
-        elif c1 is None:
+        elif t1 is None or t0[0] < t1[0]:
             side = 0
-        elif c0[1] > c1[1]:
-            side = 0
-        elif c1[1] > c0[1]:
+        elif t1[0] < t0[0]:
             side = 1
         else:
             side = 0 if pw[0] >= pw[1] else 1
-        v, gain = (c0, c1)[side]
-        unchosen = (c0, c1)[1 - side]
-        if unchosen is not None:
-            tables[1 - side].push(unchosen[0], unchosen[1])
         other = 1 - side
+        top = tops[side]
+        neg = top[0]
+        v = top[-1]
+        # Take the chosen vertex out and put the rival back.  The heap
+        # re-keys its rival under the next counter, behind its equal-gain
+        # peers, as a pop and a push-back would; the bucket table's buckets
+        # are LIFO, so its push-back restores the popped state exactly.
+        rival = tops[other]
+        if heap:
+            heappop(queues[side])
+            if rival is not None:
+                stamp[rival[2]] = counter
+                heapreplace(queues[other], (rival[0], counter, rival[2]))
+                counter += 1
+        elif rival is not None:
+            tables[other].push(rival[1], -rival[0])
+
         w_v = vwgt[v]
         if pw[side] == w_v:
             locked[v] = 1  # moving v would empty its side
@@ -229,62 +281,68 @@ def fm_pass(
             continue
         dest_after = pw[other] + w_v
         # Balance gate: the move must keep the destination under its cap,
-        # unless it strictly reduces the current overweight key[0] (repair).
-        if dest_after > maxpwgt[other]:
-            over_after = max(0, pw[side] - w_v - maxpwgt[side]) + max(
-                0, dest_after - maxpwgt[other]
-            )
-            if over_after >= key[0]:
+        # unless it strictly reduces the current overweight (repair).
+        if dest_after > caps[other]:
+            src_over = pw[side] - w_v - caps[side]
+            if max(0, src_over) + dest_after - caps[other] >= over:
                 locked[v] = 1  # unusable this pass
                 rejected += 1
                 continue
 
-        # Execute the move.
+        # Execute the move: v's internal degree becomes its external one.
         tried += 1
         where_s[v] = other
         pw[side] -= w_v
         pw[other] += w_v
-        cut -= gain
-        ed_s[v], id_s[v] = id_s[v], ed_s[v]
+        cut += neg
+        ed_s[v] = wdeg_s[v] - ed_s[v]
         locked[v] = 1
         moved.append(v)
 
         # Neighbour degree updates, in adjacency order.  Under lazy gains
         # the tables only hear of *new* boundary vertices (stale entries are
-        # corrected at pop time); under the 1995-style eager mode every
-        # unlocked neighbour's entry is refreshed right after its update.
-        for j in range(xadj[v], xadj[v + 1]):
-            u = adjncy[j]
-            delta = adjwgt[j]
+        # corrected when they reach the top); under the 1995-style eager
+        # mode every unlocked neighbour's entry is refreshed right after its
+        # update.
+        start, stop = xadj[v], xadj[v + 1]
+        for u, delta in zip(adjncy[start:stop], adjwgt[start:stop]):
             if where_s[u] == other:
                 delta = -delta  # the edge to v is now internal for u
-            was_interior = ed_s[u] == 0
-            ed_s[u] += delta
-            id_s[u] -= delta
-            if locked[u]:
-                continue
+            was = ed_s[u]
+            now = was + delta
+            ed_s[u] = now
             if eager:
-                table_u = tables[where_s[u]]
-                if u in table_u:
-                    table_u.update(u, ed_s[u] - id_s[u])
-                elif not boundary_only or ed_s[u] > 0:
-                    table_u.push(u, ed_s[u] - id_s[u])
-            elif boundary_only and was_interior and delta > 0:
-                tables[where_s[u]].push(u, ed_s[u] - id_s[u])
+                # Re-enter every unlocked neighbour, except an interior one
+                # that boundary seeding never entered.
+                if locked[u] or (boundary_only and not now and (
+                    u not in stamp if heap else u not in tables[where_s[u]]
+                )):
+                    continue
+            elif was or delta < 0 or not boundary_only or locked[u]:
+                continue  # lazy: only a vertex just joined the boundary
+            gain = 2 * now - wdeg_s[u]
+            if heap:
+                stamp[u] = counter
+                heappush(queues[where_s[u]], (-gain, counter, u))
+                counter += 1
+            else:
+                tables[where_s[u]].push(u, gain)
 
-        key = _balance_key(pw, maxpwgt, cut)
-        if key < best_key:
-            best_key = key
+        o0 = pw[0] - caps[0]
+        o1 = pw[1] - caps[1]
+        over = (o0 if o0 > 0 else 0) + (o1 if o1 > 0 else 0)
+        if over < best_over or (over == best_over and cut < best_cut):
+            best_over, best_cut = over, cut
             best_prefix = len(moved)
             since_best = 0
         else:
             since_best += 1
 
-    # All moves are applied and the degree arrays are final for this pass:
+    # All moves are applied and the degree array is final for this pass:
     # validate the incremental bookkeeping before the undo step (after it,
-    # ed/id_ are intentionally stale — the next pass recomputes them).
+    # ed is intentionally stale — the next pass recomputes it).
     if san:
-        san.check_degrees(graph, where, ed, id_, cut, phase="refine")
+        san.check_degrees(graph, where, ed, wdeg - ed, cut, phase="refine")
 
     # Undo the moves past the best prefix ("Since the last x vertex moves
     # did not decrease the edge-cut they are undone").
@@ -297,8 +355,7 @@ def fm_pass(
         pw[other] += w_v
     pwgts[0], pwgts[1] = pw
 
-    # Reconstruct the best-state cut: best_key[1] is exactly it.
-    improvement = (start_key[0] - best_key[0]) + (start_key[1] - best_key[1])
+    improvement = (start_over - best_over) + (start_cut - best_cut)
 
     if stats is not None:
         stats.moves_tried += tried
@@ -315,11 +372,11 @@ def fm_pass(
             undo=len(moved) - best_prefix,
             boundary=boundary0,
             improvement=improvement,
-            cut=best_key[1],
+            cut=best_cut,
             table=gain_table,
         )
 
-    return best_key[1], improvement
+    return best_cut, improvement
 
 
 def refine_bisection(
@@ -380,8 +437,8 @@ def refine_bisection(
     fm_backend = run.kernels.backend("fm")
 
     # One O(m) degree computation serves both BKLGR's switch and the first
-    # pass; later passes recompute them, since each pass leaves them stale.
-    ed, id_ = external_internal_degrees(graph, where)
+    # pass; later passes recompute it, since each pass leaves it stale.
+    ed = external_degrees(graph, where)
     if policy is RefinePolicy.BKLGR:
         boundary_count = int((ed > 0).sum())
         policy = (
@@ -410,14 +467,13 @@ def refine_bisection(
             boundary_only=boundary_only,
             early_exit=x,
             ed=ed,
-            id_=id_,
             stats=stats,
             eager=options.eager_gains,
             gain_table=options.gain_table,
             san=san or None,
             span=span,
         )
-        ed = id_ = None
+        ed = None
         if improvement <= 0:
             break
 

@@ -316,7 +316,6 @@ def fm_pass_numba(
     boundary_only,
     early_exit,
     ed=None,
-    id_=None,
     stats=None,
     eager=False,
     gain_table="heap",
@@ -327,10 +326,14 @@ def fm_pass_numba(
 
     ``eager`` and ``gain_table`` are accepted for signature compatibility
     and ignored: the bucket-array structure is inherently eager and is
-    the only gain table the jitted kernel implements.
+    the only gain table the jitted kernel implements.  A caller's ``ed``
+    is updated in place as in the ``loop`` pass; the jitted kernel's
+    internal degrees are derived from it as ``wdeg − ed``.
     """
-    if ed is None or id_ is None:
+    if ed is None:
         ed, id_ = external_internal_degrees(graph, where)
+    else:
+        id_ = graph.weighted_degrees() - ed
     boundary0 = int((ed > 0).sum()) if span else 0
     start_cut = int(cut)
 

@@ -127,6 +127,16 @@ class TestFixtureTree:
         code = lint_main([str(fixture_tree / "pkg"), "--select", "RP999"])
         assert code == 2
 
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "does" / "not" / "exist"
+        code = lint_main([str(missing)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "RP000" not in captured.out + captured.err
+        assert captured.err.splitlines() == [
+            f"error: no such file or directory: {missing}"
+        ]
+
     def test_syntax_error_reported_as_rp000(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def f(:\n")

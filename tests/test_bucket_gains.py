@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.gains import BucketGainTable, GainTable, make_gain_tables
+from repro.core.gains import BucketGainTable
+from repro.core.refine import fm_pass
 from tests.conftest import random_graph
+from tests.test_refine import GainTable, make_gain_tables
 
 
 class TestBucketBasics:
@@ -127,6 +129,14 @@ class TestFactory:
     def test_unknown_kind(self, grid8):
         with pytest.raises(ValueError):
             make_gain_tables("splay", grid8, np.zeros(1), np.zeros(1))
+        # The FM pass, which builds its own tables, refuses it too.
+        where = np.zeros(64, dtype=np.int8)
+        where[32:] = 1
+        with pytest.raises(ValueError, match="unknown gain table kind"):
+            fm_pass(
+                grid8, where, np.array([32, 32]), (40, 40), 8,
+                boundary_only=True, early_exit=50, gain_table="splay",
+            )
 
 
 class TestEndToEnd:

@@ -1,14 +1,17 @@
-"""Tests for gain bookkeeping (ed/id arrays and the GainTable)."""
+"""Tests for gain bookkeeping: the ed/id arrays, and the lazy-heap
+:class:`GainTable` that drives the reference FM pass in
+``tests/test_refine.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gains import GainTable, external_internal_degrees
+from repro.core.gains import external_degrees, external_internal_degrees
 from repro.graph import from_edge_list
 from repro.graph.partition import exact_weight_bincount
 from tests.conftest import kernel_graphs, path_graph, random_graph
+from tests.test_refine import GainTable
 
 
 def _reference_external_internal_degrees(graph, where):
@@ -84,6 +87,8 @@ class TestExternalInternalDegrees:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
         assert np.array_equal(got[0] + got[1], graph.weighted_degrees())
+        # The FM pass seeds from the external degrees alone.
+        assert np.array_equal(external_degrees(graph, where), ref[0])
 
     def test_arrays_are_the_callers_to_update(self):
         # A pass updates ed and id in place: neither may be the cache.

@@ -1,12 +1,16 @@
 """Tests for the KL/FM refinement pass and the five policies (§3.3).
 
-The ``loop`` kernel :func:`repro.core.refine.fm_pass` walks each moved
-vertex's adjacency as Python scalars.  ``_reference_fm_pass`` below keeps
-the per-move NumPy formulation it replaced; a hypothesis sweep asserts the
-two are bit-identical, and a ``perf``-marked test that the scalar scan is
-the faster of the two on a large mesh.
+The ``loop`` kernel :func:`repro.core.refine.fm_pass` is one move loop
+that owns its lazy heap and keeps one degree array.  ``_reference_fm_pass``
+below keeps the per-move NumPy formulation it replaced, driving two gain
+table objects (:class:`GainTable`, the lazy heap that used to live in
+``repro.core.gains``, or the bucket table) and both degree arrays.  A
+hypothesis sweep and a replay of real multilevel passes assert the two
+are bit-identical, and a ``perf``-marked test that the loop is the faster
+of the two on a large mesh.
 """
 
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -14,17 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.gains import external_internal_degrees, make_gain_tables
+from repro.core.gains import BucketGainTable, external_internal_degrees
+from repro.core.kway import partition
+from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, RefinePolicy
 from repro.core.run import Run
-from repro.core.refine import (
-    PassStats,
-    _balance_key,
-    fm_pass,
-    refine_bisection,
-)
+from repro.core.refine import PassStats, fm_pass, refine_bisection
 from repro.graph import Bisection, edge_cut, from_edge_list, part_weights
-from repro.matrices import grid2d
+from repro.kernels import resolve_kernels
+from repro.matrices import grid2d, suite
+from repro.utils.errors import ConfigurationError
 from tests.conftest import (
     assert_valid_bisection,
     dumbbell_graph,
@@ -32,6 +35,122 @@ from tests.conftest import (
     path_graph,
     random_graph,
 )
+
+
+class GainTable:
+    """Max-priority queue over vertices keyed by gain, with lazy updates.
+
+    ``push``/``update`` append a stamped heap entry; ``pop_best`` discards
+    entries whose stamp no longer matches the vertex's latest.  ``remove``
+    bumps the stamp so all of a vertex's entries become stale.  Ties in gain
+    are broken by insertion order (earlier wins), making refinement
+    deterministic for a fixed RNG stream.
+    """
+
+    __slots__ = ("_heap", "_stamp", "_live", "_counter")
+
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._stamp: dict[int, int] = {}
+        self._live = 0
+        self._counter = 0
+
+    def push(self, v: int, gain: int) -> None:
+        """Insert ``v`` with ``gain`` (replaces any previous entry)."""
+        if v not in self._stamp:
+            self._live += 1
+        self._counter += 1
+        self._stamp[v] = self._counter
+        heapq.heappush(self._heap, (-gain, self._counter, v))
+
+    # update is push with replace semantics; alias for readability at call sites
+    update = push
+
+    def bulk_load(self, vertices, gains) -> None:
+        """Seed many (vertex, gain) pairs at once.
+
+        ``heapify`` on a prebuilt list is O(k) in C, versus k × O(log k)
+        Python-level pushes — this is how refinement passes seed their
+        tables.  Only valid on an empty table (the refinement use case).
+        """
+        if self._heap:
+            for v, g in zip(vertices, gains):
+                self.push(int(v), int(g))
+            return
+        counter = self._counter
+        heap = []
+        stamp = self._stamp
+        for v, g in zip(vertices, gains):
+            counter += 1
+            v = int(v)
+            heap.append((-int(g), counter, v))
+            stamp[v] = counter
+        self._counter = counter
+        heapq.heapify(heap)
+        self._heap = heap
+        self._live = len(stamp)
+
+    def remove(self, v: int) -> None:
+        """Invalidate all entries for ``v`` (no-op if absent)."""
+        if v in self._stamp:
+            del self._stamp[v]
+            self._live -= 1
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._stamp
+
+    def __len__(self) -> int:
+        """Number of live vertices in the table."""
+        return self._live
+
+    def pop_best(self):
+        """Remove and return ``(v, gain)`` with maximal gain, or ``None``."""
+        heap = self._heap
+        stamp = self._stamp
+        while heap:
+            neg_gain, counter, v = heapq.heappop(heap)
+            if stamp.get(v) == counter:
+                del stamp[v]
+                self._live -= 1
+                return v, -neg_gain
+        return None
+
+    def peek_best_gain(self):
+        """Best live gain without removal, or ``None`` when empty."""
+        heap = self._heap
+        stamp = self._stamp
+        while heap:
+            neg_gain, counter, v = heap[0]
+            if stamp.get(v) == counter:
+                return -neg_gain
+            heapq.heappop(heap)
+        return None
+
+
+def make_gain_tables(kind: str, graph, ed, id_):
+    """Construct a pair of gain tables of the configured ``kind``.
+
+    ``"heap"`` needs no bounds; ``"bucket"`` is sized to the maximum
+    weighted degree, the hard bound on any |gain| during a pass.
+    """
+    if kind == "heap":
+        return GainTable(), GainTable()
+    if kind == "bucket":
+        bound = int((ed + id_).max(initial=0))
+        return BucketGainTable(bound), BucketGainTable(bound)
+    raise ConfigurationError(f"unknown gain table kind {kind!r}; 'heap' or 'bucket'")
+
+
+def _balance_key(pwgts, maxpwgt, cut):
+    """Rank partition states: balanced-with-small-cut first.
+
+    Lexicographic key ``(overweight, cut)`` where ``overweight`` is the
+    total weight above the per-part caps (0 for a balanced state).  Using
+    total overweight lets refinement *repair* an unbalanced projected
+    partition before optimising the cut.
+    """
+    over = max(0, int(pwgts[0]) - maxpwgt[0]) + max(0, int(pwgts[1]) - maxpwgt[1])
+    return (over, cut)
 
 
 def _reference_fm_pass(
@@ -454,18 +573,38 @@ def _split_graphs(draw):
     return graph, np.array(where, dtype=np.int8)
 
 
-def _run_pass(impl, graph, where0, cap, *, pass_degrees, **kwargs):
-    """One pass of ``impl`` from ``where0``; everything it returns or mutates."""
+def _run_pass(impl, graph, where0, maxpwgt, *, pass_degrees, **kwargs):
+    """One pass of ``impl`` from ``where0``; everything it returns or mutates.
+
+    With ``pass_degrees`` the pass is handed fresh degree arrays: ``ed``
+    alone for :func:`fm_pass`, ``ed`` and ``id_`` for the reference.
+    """
     where, pwgts, cut = make_state(graph, where0)
     degrees = {}
     if pass_degrees:
         ed, id_ = external_internal_degrees(graph, where)
-        degrees = {"ed": ed, "id_": id_}
+        degrees = {"ed": ed} if impl is fm_pass else {"ed": ed, "id_": id_}
     stats = PassStats()
     result = impl(
-        graph, where, pwgts, (cap, cap), cut, stats=stats, **degrees, **kwargs
+        graph, where, pwgts, maxpwgt, cut, stats=stats, **degrees, **kwargs
     )
     return result, where, pwgts, stats, degrees
+
+
+def _assert_same_pass(graph, got, ref, case_id):
+    """``got`` (fm_pass) and ``ref`` (the reference) of :func:`_run_pass`
+    returned, left and mutated the same; the reference keeps
+    ``ed + id_ = wdeg`` throughout, so ``wdeg − ed`` must be its ``id_``."""
+    assert got[0] == ref[0], case_id
+    assert np.array_equal(got[1], ref[1]), case_id
+    assert np.array_equal(got[2], ref[2]), case_id
+    assert got[3] == ref[3], case_id
+    if got[4]:
+        ed = got[4]["ed"]
+        assert np.array_equal(ed, ref[4]["ed"]), case_id
+        assert np.array_equal(
+            graph.weighted_degrees() - ed, ref[4]["id_"]
+        ), case_id
 
 
 @pytest.mark.parametrize("gain_table", ["heap", "bucket"])
@@ -492,18 +631,78 @@ class TestReferenceOracle:
                         eager=eager, gain_table=gain_table,
                         pass_degrees=pass_degrees,
                     )
-                    got = _run_pass(fm_pass, graph, where0, cap, **kwargs)
+                    caps = (cap, cap)
+                    got = _run_pass(fm_pass, graph, where0, caps, **kwargs)
                     ref = _run_pass(
-                        _reference_fm_pass, graph, where0, cap, **kwargs
+                        _reference_fm_pass, graph, where0, caps, **kwargs
                     )
-                    case_id = (frac, early_exit, pass_degrees)
-                    assert got[0] == ref[0], case_id
-                    assert np.array_equal(got[1], ref[1]), case_id
-                    assert np.array_equal(got[2], ref[2]), case_id
-                    assert got[3] == ref[3], case_id
                     # Caller-supplied degrees are mutated identically too.
-                    for name, arr in got[4].items():
-                        assert np.array_equal(arr, ref[4][name]), case_id
+                    _assert_same_pass(
+                        graph, got, ref, (frac, early_exit, pass_degrees)
+                    )
+
+
+class _RecordingKernels:
+    """The ``loop`` kernels of ``options``, recording the starting state
+    of every FM pass they run."""
+
+    def __init__(self, options):
+        self._loop = resolve_kernels(options)
+        self.passes = []
+
+    def kernel(self, phase):
+        if phase != "fm":
+            return self._loop.kernel(phase)
+
+        def record(graph, where, pwgts, maxpwgt, cut, **kwargs):
+            self.passes.append((graph, np.array(where), tuple(maxpwgt)))
+            return fm_pass(graph, where, pwgts, maxpwgt, cut, **kwargs)
+
+        return record
+
+    def backend(self, phase):
+        return self._loop.backend(phase)
+
+    def as_dict(self):
+        return self._loop.as_dict()
+
+
+@pytest.fixture(scope="module")
+def multilevel_passes():
+    """Every FM pass of an ML bisection and of an 8-way partition of the
+    4ELT analogue: projected partitions from every level, whose gain
+    tables hold the long equal-gain runs small random graphs rarely do."""
+    graph = suite.load("4ELT", scale=1.0, seed=3, cache=False)
+    options = DEFAULT_OPTIONS.with_(seed=3, workers=1)
+    kernels = _RecordingKernels(options)
+    run = replace(Run.branch(options), kernels=kernels)
+    bisect(graph, options, run=run)
+    partition(graph, 8, options, run=run)
+    return kernels.passes
+
+
+@pytest.mark.parametrize("gain_table", ["heap", "bucket"])
+@pytest.mark.parametrize("eager", [False, True], ids=["lazy", "eager"])
+@pytest.mark.parametrize(
+    "boundary_only", [False, True], ids=["all", "boundary"]
+)
+def test_multilevel_passes_replay_identically(
+    multilevel_passes, boundary_only, eager, gain_table
+):
+    """Each recorded pass, replayed from its starting state under every
+    table, gain mode and seeding, is bit-identical to the reference."""
+    assert len(multilevel_passes) > 20
+    for index, (graph, where0, maxpwgt) in enumerate(multilevel_passes):
+        for early_exit in (5, 50):
+            kwargs = dict(
+                boundary_only=boundary_only, early_exit=early_exit,
+                eager=eager, gain_table=gain_table, pass_degrees=True,
+            )
+            got = _run_pass(fm_pass, graph, where0, maxpwgt, **kwargs)
+            ref = _run_pass(
+                _reference_fm_pass, graph, where0, maxpwgt, **kwargs
+            )
+            _assert_same_pass(graph, got, ref, (index, early_exit))
 
 
 class _ReferenceKernels:
